@@ -1,13 +1,13 @@
 """Fixed reference workload: how fast the machine runs Python right now.
 
 The host this benchmark was written on slows down by up to ~1.4x for
-minutes at a time (other tenants), which moved run-level plan times by far
+minutes at a time (other tenants), which moved run-level times by far
 more than any useful bound.  :mod:`perfbench.run` runs this module in a
-fresh interpreter before every repetition and scales plan time by the
-run's median calibration time (``plan_ref_s``).  It uses only the standard
-library and allocates, hashes and sorts like the plan does, so it slows
-down with it.  Changing it changes every ``plan_ref_s`` ever reported:
-don't.
+fresh interpreter before every repetition and scales the gated times
+(``setup_s``, ``plan_s``) by the run's median calibration time.  It uses
+only the standard library and allocates, hashes and sorts like the plan
+does, so it slows down with it.  Changing it changes every gated time
+ever reported: don't.
 
 Prints the kernel's duration in seconds.
 """
