@@ -23,16 +23,24 @@ could drift.  This benchmark:
   run fails loudly here.
 
 Results go to ``benchmarks/results/simulation.json`` and
-``BENCH_simulation.json`` at the repository root.  Runnable standalone::
+``BENCH_simulation.json`` at the repository root, together with the
+interpreter, machine and commit they were measured on.  Timings from
+different machines do not compare, so ``--baseline`` embeds the timings of
+another checkout's results file (say, the parent commit's, measured just
+before on the same machine) next to this run's.  Runnable standalone::
 
     PYTHONPATH=src python benchmarks/bench_simulation.py           # full
     PYTHONPATH=src python benchmarks/bench_simulation.py --smoke   # CI, <60 s
+    PYTHONPATH=src python benchmarks/bench_simulation.py --baseline other/BENCH_simulation.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -63,6 +71,42 @@ SMOKE_SPEEDUP_THRESHOLD = 1.5
 CROSS_CHECK_SWITCHES = 14
 #: Every registered scenario the cross-check sweep exercises.
 SCENARIOS = ("flows", "uniform", "hotspot", "transpose", "bursty")
+
+
+def _environment() -> dict:
+    """Where the timings were taken: interpreter, machine and commit."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        commit = ""
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "commit": commit or None,
+    }
+
+
+def _baseline(path: Path) -> dict:
+    """The timings of another run's results file, to store beside ours."""
+    other = json.loads(Path(path).read_text())
+    return {
+        "environment": other.get("environment"),
+        "headline_speedup": other["headline_speedup"],
+        "points": [
+            {
+                key: point[key]
+                for key in ("design", "legacy_seconds", "compiled_seconds", "speedup")
+            }
+            for point in other["points"]
+        ],
+    }
 
 
 def _stats_identical(a: SimulationStats, b: SimulationStats) -> bool:
@@ -191,6 +235,7 @@ def run_simulation_benchmark(
         "headline_speedup": points[0]["speedup"],
         "all_stats_identical": all(p["stats_identical"] for p in points),
         "template_reuse": template_reuse,
+        "environment": _environment(),
     }
 
 
@@ -226,6 +271,16 @@ def _report(data: dict) -> str:
         f"  sim templates: {reuse['sim_template_builds']} compiled, "
         f"{reuse['sim_template_reuses']} reused"
     )
+    baseline = {p["design"]: p for p in data.get("baseline", {}).get("points", [])}
+    for point in data["points"]:
+        if point["design"] in baseline:
+            before = baseline[point["design"]]
+            lines.append(
+                f"  baseline {point['design']}: legacy "
+                f"{before['legacy_seconds'] * 1e3:.0f}ms, compiled "
+                f"{before['compiled_seconds'] * 1e3:.0f}ms -> "
+                f"{point['compiled_seconds'] * 1e3:.0f}ms"
+            )
     return "\n".join(lines)
 
 
@@ -268,6 +323,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="small CI configuration (20 switches, short runs, 2-benchmark "
         "cross-check, looser threshold)",
     )
+    parser.add_argument(
+        "--baseline",
+        type=Path,
+        help="results file of another checkout measured on the same machine "
+        "(e.g. the parent commit's BENCH_simulation.json); its timings are "
+        "stored under 'baseline'",
+    )
     args = parser.parse_args(argv)
     if args.smoke:
         data = run_simulation_benchmark(
@@ -288,6 +350,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             rounds=args.rounds,
         )
         threshold = FULL_SPEEDUP_THRESHOLD
+    if args.baseline is not None:
+        data["baseline"] = _baseline(args.baseline)
     print(_report(data))
     _persist(data)
     print(f"wrote {ROOT_RESULT_PATH}")

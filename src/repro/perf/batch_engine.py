@@ -32,6 +32,10 @@ make the per-cycle sweep vectorisable are proved against
   dirty and replayed exactly, in slot order, against the already-final
   winners of earlier slots; everything else commits vectorised.
 
+Every index-carrying array is ``intp``: numpy converts any other integer
+index array to ``intp`` on every gather and scatter, which at these array
+sizes costs as much as the gather itself.
+
 Injection is batched too: all fast-path generators (``flows`` and the
 spatial re-weightings) consume one uniform draw per eligible flow per
 cycle in sorted-flow order, so lanes sharing a seed share a single
@@ -39,7 +43,17 @@ transplanted Mersenne-Twister stream (``numpy.random.RandomState`` seeded
 with ``random.Random(seed).getstate()`` is bit-identical to the scalar
 generator) and one ``random_sample`` serves the whole seed group.
 Temporal scenarios (``bursty``, ``trace``) fall back to calling their own
-``generate`` per lane — still inside the batched network program.
+``generate`` per lane — still inside the batched network program.  A
+lane's injection queue is a linked list through the packet records
+(head, tail, ``pkt_next``), so enqueue and dequeue are plain scatters.
+
+Most of an array sweep's cost is a fixed number of numpy calls per cycle,
+whatever the batch width, while a compiled run costs per lane.  So once no
+more than :data:`SCALAR_TAIL_LANES` lanes are still running — the
+saturated lanes of a latency grid drain long after the rest finish — the
+program hands each of them, state and draw stream included, to a
+:class:`CompiledSimulator` that finishes the run (``cross_check=True``
+keeps every lane on the arrays, so the sweep itself is what gets checked).
 
 :class:`BatchedSimulator` is the ``"batched"`` entry of
 :data:`repro.api.registry.simulation_engines`: a drop-in single-lane
@@ -54,7 +68,6 @@ batch eligibility.  numpy itself is imported lazily (see
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.registry import simulation_engines
@@ -77,6 +90,23 @@ ENGINE_BATCHED = "batched"
 
 #: Sentinel larger than any packed arbitration key.
 _BIG = 2**30
+
+#: Per-lane counter deltas of one transfer, by source kind and last hop:
+#: rows (buffer -> buffer, buffer -> delivered, queue -> buffer, queue ->
+#: delivered), columns (transfers, buffered flits, pending injection
+#: flits, delivered flits).
+_COUNTER_DELTAS = ((1, 0, 0, 0), (1, -1, 0, 1), (1, 1, -1, 0), (1, 0, -1, 1))
+
+#: Once no more than this many lanes are still running, the program hands
+#: them to the compiled engine: the array sweep's per-cycle cost is mostly
+#: fixed numpy call overhead, which a few scalar lanes undercut.  On the
+#: D36_8 @ 35-switch design of ``bench_batched_sim`` (600 injection cycles
+#: plus drain, saturating loads) one lane runs ~2.4x and two ~1.5x faster
+#: compiled than on the arrays; at three lanes the paths are closer
+#: (~1.25x), and handing off at two or at three lanes measured the same on
+#: the benchmark's smoke grid, whose 16-lane full grid never narrows below
+#: nine.
+SCALAR_TAIL_LANES = 2
 
 _np = None
 
@@ -128,15 +158,15 @@ class BatchedTemplate:
 
         # Link structure: every channel's dense link slot, its VC position
         # within the link, and the inverse (slot, position) -> channel map.
-        slot_of = np.zeros(C, np.int32)
-        pos_in_link = np.zeros(C, np.int32)
-        link_n = np.zeros(max(S, 1), np.int32)
-        link_router = np.zeros(max(S, 1), np.int32)
+        slot_of = np.zeros(C, np.intp)
+        pos_in_link = np.zeros(C, np.intp)
+        link_n = np.zeros(max(S, 1), np.intp)
+        link_router = np.zeros(max(S, 1), np.intp)
         nmax = 1
         for links in template.r_links:
             for chs, _slot in links:
                 nmax = max(nmax, len(chs))
-        slot_vcs = np.zeros((max(S, 1), nmax), np.int32)
+        slot_vcs = np.zeros((max(S, 1), nmax), np.intp)
         for rid, links in enumerate(template.r_links):
             for chs, slot in links:
                 link_router[slot] = rid
@@ -151,18 +181,24 @@ class BatchedTemplate:
         self.nmax = nmax
         self.slot_vcs = slot_vcs
         self.slot_vcs_flat = slot_vcs.reshape(-1)
+        # The link pointer after a transfer at (slot, VC position).
+        next_pos = np.zeros((max(S, 1), nmax), np.intp)
+        for slot in range(S):
+            n = int(link_n[slot])
+            next_pos[slot, :n] = (np.arange(n) + 1) % n
+        self.next_pos_flat = next_pos.reshape(-1)
 
         # Arbitration sources: the position of every source code within its
         # router's rotation, the rotation length per router, and the
         # (router, position) -> code decode table (zero-padded so vector
         # gathers on garbage positions stay in bounds).
         m_of_router = np.array(
-            [len(sources) for sources in template.r_sources] or [0], np.int32
+            [len(sources) for sources in template.r_sources] or [0], np.intp
         )
         mmax = int(m_of_router.max()) if R else 1
         mmax = max(mmax, 1)
-        srcpos = np.zeros(C + F + 1, np.int32)
-        code_tab = np.zeros(max(R, 1) * mmax, np.int32)
+        srcpos = np.zeros(C + F + 1, np.intp)
+        code_tab = np.zeros(max(R, 1) * mmax, np.intp)
         for rid, sources in enumerate(template.r_sources):
             for pos, code in enumerate(sources):
                 srcpos[code] = pos
@@ -173,15 +209,15 @@ class BatchedTemplate:
         # Channel -> its source router / rotation length.
         chan_router = link_router[slot_of]
         self.m_of_chan = m_of_router[chan_router]
-        self.chan_rid_scaled = (chan_router * mmax).astype(np.int32)
+        self.chan_rid_scaled = (chan_router * mmax).astype(np.intp)
 
         # Flow routes as a padded matrix plus per-flow metadata.
         lmax = 1
         for route in template.flow_routes:
             lmax = max(lmax, len(route))
-        route_mat = np.zeros((max(F, 1), lmax), np.int32)
-        route_len = np.zeros(max(F, 1), np.int32)
-        flow_first = np.zeros(max(F, 1), np.int32)
+        route_mat = np.zeros((max(F, 1), lmax), np.intp)
+        route_len = np.zeros(max(F, 1), np.intp)
+        flow_first = np.zeros(max(F, 1), np.intp)
         for fid, route in enumerate(template.flow_routes):
             route_len[fid] = len(route)
             route_mat[fid, : len(route)] = route
@@ -257,7 +293,7 @@ class _FastInjectionGroup:
 
     def __init__(self, program: "_BatchProgram", lanes: List[int]):
         np = _numpy()
-        self.lanes = np.array(lanes, np.int32)
+        self.lanes = np.array(lanes, np.intp)
         generator = program.generators[lanes[0]]
         order = generator._flow_order
         self.rng = _mirror_rng(generator._rng)
@@ -277,9 +313,10 @@ class _FastInjectionGroup:
             fids.append(t.flow_ids.get(name, -1))
             local.append(design.switch_of(flow.src) == design.switch_of(flow.dst))
             sizes.append(flow.packet_size_flits)
-        self.fid_arr = np.array(fids, np.int32) if fids else np.zeros(0, np.int32)
+        self.fid_arr = np.array(fids, np.intp) if fids else np.zeros(0, np.intp)
         self.local_arr = np.array(local, bool) if local else np.zeros(0, bool)
-        self.size_arr = np.array(sizes, np.int32) if sizes else np.zeros(0, np.int32)
+        self.any_local = bool(self.local_arr.any())
+        self.size_arr = np.array(sizes, np.intp) if sizes else np.zeros(0, np.intp)
 
 
 def _mirror_rng(rng):
@@ -309,7 +346,7 @@ def _is_fast_generator(generator) -> bool:
     cls = type(generator)
     return (
         isinstance(generator, FlowTrafficGenerator)
-        and cls._injects is FlowTrafficGenerator._injects
+        and cls._firing_flows is FlowTrafficGenerator._firing_flows
         and cls.generate is FlowTrafficGenerator.generate
     )
 
@@ -361,40 +398,46 @@ class _BatchProgram:
         C, S, F = bt.C, bt.S, bt.F
         self.B = B
 
-        i32 = np.int32
+        ix = np.intp
         # --- dynamic state, one flat lane-major array per field ---------
-        self.buf_pkt = np.full(B * C, -1, i32)
-        self.buf_lo = np.zeros(B * C, i32)
-        self.buf_hi = np.zeros(B * C, i32)
-        self.buf_hops = np.zeros(B * C, i32)
+        self.buf_pkt = np.full(B * C, -1, ix)
+        self.buf_lo = np.zeros(B * C, ix)
+        self.buf_hi = np.zeros(B * C, ix)
+        self.buf_hops = np.zeros(B * C, ix)
         #: Local channel id of ``route[buf_hops]`` for the stored packet
         #: (maintained at every arrival; read wherever the scalar engine
         #: recomputes the route lookup).
-        self.buf_target = np.zeros(B * C, i32)
-        self.out_owner = np.full(B * C, -1, i32)
-        self.out_src = np.full(B * C, -1, i32)
-        self.alloc_ptr = np.zeros(B * C, i32)
-        self.link_ptr = np.zeros(B * max(S, 1), i32)
+        self.buf_target = np.zeros(B * C, ix)
+        self.out_owner = np.full(B * C, -1, ix)
+        self.out_src = np.full(B * C, -1, ix)
+        self.alloc_ptr = np.zeros(B * C, ix)
+        self.link_ptr = np.zeros(B * max(S, 1), ix)
         self.busy = np.zeros(B * C, np.int64)
-        # Injection queues: the head packet (id, next flit index) per
-        # (lane, flow) vectorised; the waiting remainder as deques.
-        self.q_head_pid = np.full(B * max(F, 1), -1, i32)
-        self.q_head_idx = np.zeros(B * max(F, 1), i32)
-        self.q_rest_len = np.zeros(B * max(F, 1), i32)
-        self.q_rest: List[deque] = [deque() for _ in range(B * max(F, 1))]
+        # Injection queues per (lane, flow): the head packet (-1 when
+        # empty) and its next flit index, and the tail packet (meaningful
+        # only while non-empty).  Packets in between are linked through
+        # ``pkt_next``.
+        self.q_head_pid = np.full(B * max(F, 1), -1, ix)
+        self.q_head_idx = np.zeros(B * max(F, 1), ix)
+        #: True where the head packet has not sent a flit yet (a fresh head
+        #: requesting its route's first channel).
+        self.q_fresh = np.zeros(B * max(F, 1), bool)
+        self.q_tail_pid = np.full(B * max(F, 1), -1, ix)
         # Packet records, lane-major with a growing per-lane capacity.
         self.cap = 256
-        self.pkt_flow = np.zeros(B * self.cap, i32)
-        self.pkt_size = np.zeros(B * self.cap, i32)
-        self.pkt_created = np.zeros(B * self.cap, i32)
-        self.pkt_seq = [0] * B
+        self.pkt_flow = np.zeros(B * self.cap, ix)
+        # (These three are never used as indices on their own.)
+        self.pkt_size = np.zeros(B * self.cap, np.int32)
+        self.pkt_created = np.zeros(B * self.cap, np.int32)
+        self.pkt_next = np.zeros(B * self.cap, np.int32)
+        self.pkt_seq = np.zeros(B, np.int64)
 
         # --- per-lane counters ------------------------------------------
         i64 = np.int64
         self.undelivered = np.zeros(B, i64)
         self.buffered = np.zeros(B, i64)
         self.pending_inj = np.zeros(B, i64)
-        self.idle = np.zeros(B, i32)
+        self.idle = np.zeros(B, ix)
         self.active = np.ones(B, bool)
         self.acc_transfers = np.zeros(B, i64)
         self.acc_flits_delivered = np.zeros(B, i64)
@@ -404,6 +447,7 @@ class _BatchProgram:
         self.acc_packets_lost = np.zeros(B, i64)
         self.acc_flits_lost = np.zeros(B, i64)
         self.latencies: List[List[int]] = [stats.latencies for stats in stats_list]
+        self._counter_deltas = np.array(_COUNTER_DELTAS, i64)
 
         # Static tiled index helpers and per-cycle scratch (lane-width
         # dependent — rebuilt whenever finished lanes are compacted away).
@@ -439,50 +483,47 @@ class _BatchProgram:
         np = _numpy()
         bt = self.bt
         B, C, S, F = self.B, bt.C, bt.S, bt.F
-        i32 = np.int32
-        lane_C = np.repeat(np.arange(B, dtype=i32), C)
-        lane_F = np.repeat(np.arange(B, dtype=i32), max(F, 1))
-        self.lane_of_slot = np.repeat(np.arange(B, dtype=i32), max(S, 1))
+        ix = np.intp
+        lane_C = np.repeat(np.arange(B, dtype=ix), C)
+        lane_F = np.repeat(np.arange(B, dtype=ix), max(F, 1))
+        self.lane_of_slot = np.repeat(np.arange(B, dtype=ix), max(S, 1))
         self.o_C = lane_C * C
-        self.o_F_of_flow = lane_F * max(F, 1)
         self.o_C_of_flow = lane_F * C
-        self.o_F_by_chan = lane_C * np.int32(max(F, 1))
-        self.o_slotbase_by_chan = lane_C * np.int32(max(S, 1))
+        self.o_F_by_chan = lane_C * max(F, 1)
+        self.o_slotbase_by_chan = lane_C * max(S, 1)
         self.o_C_by_slot = self.lane_of_slot * C
         self.slot_of_t = np.tile(bt.slot_of, B) + self.o_slotbase_by_chan
         self.pos_in_link_t = np.tile(bt.pos_in_link, B)
-        self.link_n_by_chan = np.tile(bt.link_n[bt.slot_of], B)
         self.m_by_chan = np.tile(bt.m_of_chan, B)
         self.rid_scaled_t = np.tile(bt.chan_rid_scaled, B)
         self.srcpos_chan_t = np.tile(bt.srcpos[:C], B)
-        self.slot_loc_t = np.tile(np.arange(max(S, 1), dtype=i32), B)
+        self.slot_loc_t = np.tile(np.arange(max(S, 1), dtype=ix), B)
         if F:
             # Per-queue candidate metadata, pre-tiled so the allocation
             # phase is pure gathers on the fresh-head subset.
             self.q_cand_chan_t = self.o_C_of_flow + np.tile(bt.flow_first, B)
             self.q_spos_t = np.tile(bt.srcpos[C : C + F], B)
-            self.q_m_t = np.tile(bt.m_of_chan[bt.flow_first], B)
         self._lane_C = lane_C
-        self.capoff_C = (lane_C * np.int32(self.cap)).astype(np.int64)
+        self.capoff_C = lane_C * self.cap
         # Per-cycle scratch.  The per-channel work arrays are only written
         # on the resolved/candidate subsets each cycle; every later read
         # is guarded by a mask derived from those same subsets, so stale
         # values from earlier cycles are never observed.
         BC = B * C
         BS = B * max(S, 1)
-        self._src_code = np.empty(BC, i32)
-        self._pkt = np.empty(BC, i32)
-        self._idx = np.empty(BC, i32)
-        self._hops = np.empty(BC, i32)
-        self._occ = np.empty(BC, i32)
-        self._rotpos = np.empty(BC, i32)
-        self._win_srcpos = np.empty(BC, i32)
+        self._src_code = np.empty(BC, ix)
+        self._pkt = np.empty(BC, ix)
+        self._idx = np.empty(BC, ix)
+        self._hops = np.empty(BC, ix)
+        self._occ = np.empty(BC, ix)
+        self._rank = np.empty(BC, ix)
+        self._win_srcpos = np.empty(BC, ix)
         self._alloc_valid = np.zeros(BC, bool)
         self._has_cand = np.zeros(BC, bool)
         self._is_last = np.zeros(BC, bool)
         self._credit_ok = np.zeros(BC, bool)
         self._relax = np.zeros(BC, bool)
-        self._wkey = np.empty(BS, i32)
+        self._wkey = np.empty(BS, ix)
         self._dirty_slot = np.zeros(BS, bool)
 
     def _compact(self) -> None:
@@ -495,7 +536,7 @@ class _BatchProgram:
         by :meth:`_finish` — are sliced out of every state array.
         """
         np = _numpy()
-        keep = np.nonzero(self.active)[0]
+        keep = self.active.nonzero()[0]
         if keep.size == self.B:
             return
         bt = self.bt
@@ -511,22 +552,18 @@ class _BatchProgram:
         ):
             setattr(self, name, take(getattr(self, name), C))
         self.link_ptr = take(self.link_ptr, max(S, 1))
-        for name in ("q_head_pid", "q_head_idx", "q_rest_len"):
+        for name in ("q_head_pid", "q_head_idx", "q_tail_pid", "q_fresh"):
             setattr(self, name, take(getattr(self, name), max(F, 1)))
-        rest: List[deque] = []
-        for lane in keep_list:
-            rest.extend(self.q_rest[lane * max(F, 1) : (lane + 1) * max(F, 1)])
-        self.q_rest = rest
-        for name in ("pkt_flow", "pkt_size", "pkt_created"):
+        for name in ("pkt_flow", "pkt_size", "pkt_created", "pkt_next"):
             setattr(self, name, take(getattr(self, name), self.cap))
         for name in (
-            "undelivered", "buffered", "pending_inj", "idle", "active",
+            "pkt_seq", "undelivered", "buffered", "pending_inj", "idle", "active",
             "acc_transfers", "acc_flits_delivered", "acc_packets_delivered",
             "acc_packets_injected", "acc_local_deliveries",
             "acc_packets_lost", "acc_flits_lost",
         ):
             setattr(self, name, getattr(self, name)[keep].copy())
-        self.pkt_seq = [self.pkt_seq[lane] for lane in keep_list]
+        self.configs = [self.configs[lane] for lane in keep_list]
         self.latencies = [self.latencies[lane] for lane in keep_list]
         self.stats_list = [self.stats_list[lane] for lane in keep_list]
         self.generators = [self.generators[lane] for lane in keep_list]
@@ -545,7 +582,7 @@ class _BatchProgram:
                 # mirrors stop being called.
                 continue
             group.lanes = np.array(
-                [remap[int(group.lanes[i])] for i in rows], np.int32
+                [remap[int(group.lanes[i])] for i in rows], np.intp
             )
             group.rates = group.rates[rows]
             group.rate_max = group.rates.max(axis=0)
@@ -563,16 +600,16 @@ class _BatchProgram:
         while new_cap <= needed:
             new_cap *= 2
         B, old_cap = self.B, self.cap
-        for name in ("pkt_flow", "pkt_size", "pkt_created"):
+        for name in ("pkt_flow", "pkt_size", "pkt_created", "pkt_next"):
             old = getattr(self, name)
-            grown = np.zeros(B * new_cap, np.int32)
+            grown = np.zeros(B * new_cap, old.dtype)
             for lane in range(B):
                 grown[lane * new_cap : lane * new_cap + old_cap] = old[
                     lane * old_cap : (lane + 1) * old_cap
                 ]
             setattr(self, name, grown)
         self.cap = new_cap
-        self.capoff_C = (self._lane_C * np.int32(new_cap)).astype(np.int64)
+        self.capoff_C = self._lane_C * new_cap
 
     def _enqueue(self, lane: int, fid: int, pid: int, size: int, cycle: int) -> None:
         """Queue all flits of one packet at its source router (one lane)."""
@@ -583,12 +620,13 @@ class _BatchProgram:
         self.pkt_size[rec] = size
         self.pkt_created[rec] = cycle
         flat = lane * self.bt.F + fid
-        if self.q_head_pid[flat] < 0 and not self.q_rest[flat]:
+        if self.q_head_pid[flat] < 0:
             self.q_head_pid[flat] = pid
             self.q_head_idx[flat] = 0
+            self.q_fresh[flat] = True
         else:
-            self.q_rest[flat].append(pid)
-            self.q_rest_len[flat] += 1
+            self.pkt_next[lane * self.cap + self.q_tail_pid[flat]] = pid
+        self.q_tail_pid[flat] = pid
         self.undelivered[lane] += size
         self.pending_inj[lane] += size
 
@@ -599,25 +637,22 @@ class _BatchProgram:
         if not (draws < group.rate_max).any():
             return
         # A full broadcast compare beats a fancy column-subset copy.
-        hits = group.rates > draws
-        rows, col_ids = np.nonzero(hits)
-        if not rows.size:
+        hits = (group.rates > draws).ravel().nonzero()[0]
+        if not hits.size:
             return
+        rows, col_ids = np.divmod(hits, group.n_flows)
         # Sequential per-lane packet ids in sorted-flow order — exactly the
         # order the scalar generator assigns them (rows/cols from nonzero
         # are lane-major, flow-ascending).
+        fired = np.bincount(rows, minlength=len(group.lanes))
+        before = fired.cumsum() - fired
         lanes = group.lanes[rows]
-        counts = np.bincount(rows, minlength=len(group.lanes))
-        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-        seq = np.array(self.pkt_seq, np.int64)[lanes]
-        pids = seq + (np.arange(rows.size) - starts[rows])
-        for lane, n in zip(group.lanes.tolist(), counts.tolist()):
-            if n:
-                self.pkt_seq[lane] += n
-        self.acc_packets_injected += np.bincount(lanes, minlength=B)
-        loc = group.local_arr[col_ids]
+        pids = self.pkt_seq[lanes] + (np.arange(rows.size) - before[rows])
+        self.pkt_seq[group.lanes] += fired
+        self.acc_packets_injected[group.lanes] += fired
         sizes = group.size_arr[col_ids]
-        if loc.any():
+        loc = group.local_arr[col_ids] if group.any_local else None
+        if loc is not None and loc.any():
             # Same-switch traffic never enters the network: delivered
             # through the local NI one cycle later, latency 1.
             lcount = np.bincount(lanes[loc], minlength=B)
@@ -626,33 +661,34 @@ class _BatchProgram:
             self.acc_flits_delivered += np.bincount(
                 lanes[loc], weights=sizes[loc], minlength=B
             ).astype(np.int64)
-            for lane in np.nonzero(lcount)[0].tolist():
+            for lane in lcount.nonzero()[0].tolist():
                 self.latencies[lane].extend([1] * int(lcount[lane]))
-        net = ~loc
-        if not net.any():
-            return
-        lanes_n = lanes[net]
-        pids_n = pids[net]
-        sizes_n = sizes[net]
-        fids_n = group.fid_arr[col_ids[net]]
-        top = int(pids_n.max())
+            net = (~loc).nonzero()[0]
+            if not net.size:
+                return
+            lanes, pids, sizes, col_ids = lanes[net], pids[net], sizes[net], col_ids[net]
+        fids = group.fid_arr[col_ids]
+        top = int(pids.max())
         if top >= self.cap:
             self._grow_packets(top)
-        rec = lanes_n.astype(np.int64) * self.cap + pids_n
-        self.pkt_flow[rec] = fids_n
-        self.pkt_size[rec] = sizes_n
+        rec = lanes * self.cap + pids
+        self.pkt_flow[rec] = fids
+        self.pkt_size[rec] = sizes
         self.pkt_created[rec] = cycle
         # A fast-path flow fires at most once per lane per cycle, so the
         # (lane, flow) queue slots below are distinct — plain scatters.
-        flats = lanes_n * np.int32(F) + fids_n
-        empty = (self.q_head_pid[flats] < 0) & (self.q_rest_len[flats] == 0)
-        self.q_head_pid[flats[empty]] = pids_n[empty].astype(np.int32)
-        self.q_head_idx[flats[empty]] = 0
-        for i in np.nonzero(~empty)[0].tolist():
-            flat = int(flats[i])
-            self.q_rest[flat].append(int(pids_n[i]))
-            self.q_rest_len[flat] += 1
-        flit_sum = np.bincount(lanes_n, weights=sizes_n, minlength=B).astype(np.int64)
+        flats = lanes * F + fids
+        empty = self.q_head_pid[flats] < 0
+        fresh = flats[empty]
+        self.q_head_pid[fresh] = pids[empty]
+        self.q_head_idx[fresh] = 0
+        self.q_fresh[fresh] = True
+        waiting = (~empty).nonzero()[0]
+        if waiting.size:
+            tails = lanes[waiting] * self.cap + self.q_tail_pid[flats[waiting]]
+            self.pkt_next[tails] = pids[waiting]
+        self.q_tail_pid[flats] = pids
+        flit_sum = np.bincount(lanes, weights=sizes, minlength=B).astype(np.int64)
         self.undelivered += flit_sum
         self.pending_inj += flit_sum
 
@@ -673,7 +709,7 @@ class _BatchProgram:
                 self.acc_flits_lost[lane] += packet.size_flits
             else:
                 pid = packet.packet_id
-                self.pkt_seq[lane] = max(self.pkt_seq[lane], pid + 1)
+                self.pkt_seq[lane] = max(int(self.pkt_seq[lane]), pid + 1)
                 self._enqueue(lane, fid, pid, packet.size_flits, cycle)
 
     def _inject(self, cycle: int) -> None:
@@ -697,8 +733,6 @@ class _BatchProgram:
         bt = self.bt
         B, C, S, F = self.B, bt.C, bt.S, bt.F
         depth = self.depth
-        i32 = np.int32
-        i64 = np.int64
 
         # ---- phase 1: switch allocation (start-of-cycle exact) --------
         # Allocation only ever matters on *unowned* channels (an owned
@@ -709,83 +743,73 @@ class _BatchProgram:
         owner_neg = self.out_owner == -1
         # Buffer sources: a head flit (lo == 0) of a non-empty buffer
         # requests its one target channel.
-        bl = np.nonzero((self.buf_lo == 0) & (self.buf_hi > 0))[0]
-        cand_t = self.o_C[bl] + self.buf_target[bl]
-        keep_b = owner_neg[cand_t]
-        bl = bl[keep_b]
-        cand_t = cand_t[keep_b]
-        prio_b = self.srcpos_chan_t[bl] - self.alloc_ptr[cand_t]
-        neg_b = prio_b < 0
-        prio_b[neg_b] += self.m_by_chan[cand_t[neg_b]]
-        key_b = prio_b * i32(bt.mmax) + self.srcpos_chan_t[bl]
+        bl = ((self.buf_lo == 0) & (self.buf_hi > 0)).nonzero()[0]
+        cand_all = self.o_C[bl] + self.buf_target[bl]
+        spos_all = self.srcpos_chan_t[bl]
         # Queue sources: a fresh head packet (flit index 0) requests its
         # route's first channel.
         if F:
-            ql = np.nonzero((self.q_head_pid >= 0) & (self.q_head_idx == 0))[0]
-            cand_tq = self.q_cand_chan_t[ql]
-            keep_q = owner_neg[cand_tq]
-            ql = ql[keep_q]
-            cand_tq = cand_tq[keep_q]
-            spos_q = self.q_spos_t[ql]
-            prio_q = spos_q - self.alloc_ptr[cand_tq]
-            neg_q = prio_q < 0
-            prio_q[neg_q] += self.q_m_t[ql[neg_q]]
-            key_q = prio_q * i32(bt.mmax) + spos_q
-            cand_all = np.concatenate((cand_t, cand_tq))
-            key_all = np.concatenate((key_b, key_q))
-        else:
-            cand_all, key_all = cand_t, key_b
+            ql = self.q_fresh.nonzero()[0]
+            cand_all = np.concatenate((cand_all, self.q_cand_chan_t[ql]))
+            spos_all = np.concatenate((spos_all, self.q_spos_t[ql]))
+        keep = owner_neg[cand_all].nonzero()[0]
+        cand_all = cand_all[keep]
+        spos_all = spos_all[keep]
+        # Round-robin rank from the channel's allocation pointer: sources
+        # at or after it come first, then the wrapped-around ones, each
+        # run in position order — so ``srcpos + mmax * (srcpos < ptr)``
+        # orders the requesters exactly as the scalar scan visits them.
+        mmax = bt.mmax
+        key_all = spos_all + (spos_all < self.alloc_ptr[cand_all]) * mmax
         alloc_valid = self._alloc_valid
         alloc_valid.fill(False)
         src_code = self._src_code
         np.copyto(src_code, self.out_src)
         win_srcpos = self._win_srcpos
         if cand_all.size:
-            # Winner per requested channel = smallest (priority, srcpos)
-            # key.  Pack channel and key into one integer and sort: the
-            # first entry per channel is its winner — faster than a
-            # scatter-min ufunc at these sizes.
-            ka = i64(bt.mmax) * i64(bt.mmax)
-            pack = cand_all.astype(i64) * ka + key_all
+            # Winner per requested channel = smallest rank key.  Pack
+            # channel and key into one integer and sort: the first entry
+            # per channel is its winner — faster than a scatter-min ufunc
+            # at these sizes.
+            ka = 2 * mmax
+            pack = cand_all * ka + key_all
             pack.sort()
             chans = pack // ka
             first = np.empty(pack.shape, bool)
             first[0] = True
             np.not_equal(chans[1:], chans[:-1], out=first[1:])
             aw = chans[first]
-            win_srcpos[aw] = (pack[first] - aw * ka) % i64(bt.mmax)
+            win_srcpos[aw] = pack[first] % mmax
             alloc_valid[aw] = True
             # Every winner is on a previously unowned channel: it
             # resolves to the allocation winner right away.
             src_code[aw] = bt.code_tab[self.rid_scaled_t[aw] + win_srcpos[aw]]
         else:
-            aw = np.empty(0, i64)
+            aw = np.empty(0, np.intp)
 
         # ---- phase 2: resolve each channel's feeding source -----------
         # Everything downstream only ever reads channels with a resolved
         # source, so gather head-flit facts on that subset and scatter
         # them into the persistent scratch arrays.
-        res = np.nonzero(alloc_valid | ~owner_neg)[0]
+        res = (alloc_valid | ~owner_neg).nonzero()[0]
         sc = src_code[res]
         is_q = sc >= C
-        sb = self.o_C[res] + np.where(is_q, 0, sc)
+        # (Queue sources read a stand-in buffer, overwritten just below.)
+        sb = self.o_C[res] + np.minimum(sc, C - 1)
         pkt_s = self.buf_pkt[sb]
         idx_s = self.buf_lo[sb]
         hops_s = self.buf_hops[sb]
         flits_s = self.buf_hi[sb] - idx_s
-        qi = np.nonzero(is_q)[0]
+        qi = is_q.nonzero()[0]
         if qi.size:
-            sq = self.o_F_by_chan[res[qi]] + (sc[qi] - i32(C))
+            sq = self.o_F_by_chan[res[qi]] + (sc[qi] - C)
             qpkt = self.q_head_pid[sq]
             pkt_s[qi] = qpkt
             idx_s[qi] = self.q_head_idx[sq]
             hops_s[qi] = 0
             flits_s[qi] = qpkt >= 0
-        good = flits_s > 0
+        good = (flits_s > 0).nonzero()[0]
         hc = res[good]
-        has_cand = self._has_cand
-        has_cand.fill(False)
-        has_cand[hc] = True
         pkt = self._pkt
         idx = self._idx
         hops = self._hops
@@ -805,23 +829,20 @@ class _BatchProgram:
         down_hc = self.buf_pkt[hc]
         pkt_ok_hc = (down_hc == -1) | (down_hc == pkt_hc)
         credit_hc = (occ_hc < depth) & pkt_ok_hc
-        credit_ok = self._credit_ok
-        credit_ok[hc] = credit_hc
         ready_hc = last_hc | credit_hc
+        # A VC's visiting rank in its link's round-robin sweep: positions
+        # at or after the link pointer first, then the wrapped ones
+        # (``pos + nmax * (pos < ptr)``, order-equivalent to the scalar
+        # rotation offset).  The link's winner is its smallest ready rank.
         slot_hc = self.slot_of_t[hc]
-        rp_hc = self.pos_in_link_t[hc] - self.link_ptr[slot_hc]
-        neg_r = rp_hc < 0
-        rp_hc[neg_r] += self.link_n_by_chan[hc[neg_r]]
-        rotpos = self._rotpos
-        rotpos[hc] = rp_hc
-        ri = hc[ready_hc]
-        lkey = rp_hc[ready_hc] * i32(bt.nmax) + self.pos_in_link_t[ri]
+        pos_hc = self.pos_in_link_t[hc]
+        rank_hc = pos_hc + (pos_hc < self.link_ptr[slot_hc]) * bt.nmax
+        rank = self._rank
+        rank[hc] = rank_hc
+        ready = ready_hc.nonzero()[0]
         wkey = self._wkey
         wkey.fill(_BIG)
-        np.minimum.at(wkey, slot_hc[ready_hc], lkey)
-        win_valid = wkey < _BIG
-        win_rot = wkey // i32(bt.nmax)
-        win_pos = wkey - win_rot * i32(bt.nmax)
+        np.minimum.at(wkey, slot_hc[ready], rank_hc[ready])
 
         # ---- phase 4: dirty links (winner may move earlier) -----------
         # A start-of-cycle credit block is *relaxable* when the one drain
@@ -835,7 +856,7 @@ class _BatchProgram:
         # themselves non-ready candidates, so the whole computation runs
         # on that subset (stale scratch at ready targets is masked by
         # their own is_last/credit_ok term).
-        nr = ~ready_hc
+        nr = (~ready_hc).nonzero()[0]
         bn = hc[nr]
         occ_bn = occ_hc[nr]
         pkt_ok_bn = pkt_ok_hc[nr]
@@ -844,10 +865,14 @@ class _BatchProgram:
         relax_bn = ((occ_bn == depth) & pkt_ok_bn) | (
             ~pkt_ok_bn & (occ_bn == 1) & (self.buf_lo[bn] == down_size_bn - 1)
         )
-        relax = self._relax
-        relax[bn] = relax_bn
         bi = bn[relax_bn]
         if bi.size:
+            # Dense views of the candidate facts, for the lookups at
+            # arbitrary channels below and in the replay.
+            credit_ok = self._credit_ok
+            credit_ok[hc] = credit_hc
+            relax = self._relax
+            relax[bn] = relax_bn
             # The drain that would flip the verdict is a transfer on the
             # stored head's target channel fed by this very buffer — and
             # source resolution is start-of-cycle exact, so demand all the
@@ -859,32 +884,31 @@ class _BatchProgram:
             # target is then itself a candidate channel, so reading the
             # subset-written scratch at it is safe (conjunction with the
             # src_code test masks any stale value).
-            tgt = self.o_C[bi] + self.buf_target[bi]
+            base_bi = self.o_C[bi]
+            slot_bi = self.slot_of_t[bi]
+            tgt = base_bi + self.buf_target[bi]
             sig = self.slot_of_t[tgt]
-            feeds = src_code[tgt] == (bi - self.o_C[bi])
-            feeds &= sig < self.slot_of_t[bi]
+            feeds = src_code[tgt] == bi - base_bi
+            feeds &= sig < slot_bi
             # The blocked VC only dethrones the predicted winner if it is
             # visited strictly earlier; the feeder only drains if it can
             # still be its own link's winner (winners only move earlier,
             # so a VC past the predicted winner never wins).
-            feeds &= (
-                rotpos[bi] * i32(bt.nmax) + self.pos_in_link_t[bi]
-                < wkey[self.slot_of_t[bi]]
-            )
+            feeds &= rank[bi] < wkey[slot_bi]
             feeds &= is_last[tgt] | credit_ok[tgt] | relax[tgt]
-            feeds &= (
-                rotpos[tgt] * i32(bt.nmax) + self.pos_in_link_t[tgt]
-                <= wkey[sig]
-            )
+            feeds &= rank[tgt] <= wkey[sig]
             bi = bi[feeds]
         dirty_slot = self._dirty_slot
         if bi.size:
             dirty_slot[self.slot_of_t[bi]] = True
             # nonzero on the scatter mask yields the dirty slots already
             # sorted lane-major, slot-ascending — the replay order.
-            dirty = np.nonzero(dirty_slot)[0]
+            dirty = dirty_slot.nonzero()[0]
+            has_cand = self._has_cand
+            has_cand.fill(False)
+            has_cand[hc] = True
             self._redo_dirty(
-                dirty, win_valid, win_rot, win_pos,
+                dirty, wkey,
                 alloc_valid, owner_neg, src_code, pkt, has_cand, is_last,
                 win_srcpos, occ,
             )
@@ -900,7 +924,7 @@ class _BatchProgram:
         # with their side effects above.
         if aw.size:
             slot_aw = self.slot_of_t[aw]
-            visit = rotpos[aw] <= win_rot[slot_aw]
+            visit = rank[aw] <= wkey[slot_aw]
             if dirty.size:
                 visit &= ~dirty_slot[slot_aw]
             vi = aw[visit]
@@ -915,12 +939,12 @@ class _BatchProgram:
             dirty_slot[dirty] = False
 
         # ---- phase 6: commit all transfers ----------------------------
-        w = np.nonzero(win_valid)[0]  # lane-major, slot-ascending
+        w = (wkey < _BIG).nonzero()[0]  # lane-major, slot-ascending
         if w.size:
             w_lane = self.lane_of_slot[w]
-            slt_w = self.slot_loc_t[w]
-            w_loc = bt.slot_vcs_flat[slt_w * i32(bt.nmax) + win_pos[w]]
-            w_cf = self.o_C_by_slot[w] + w_loc
+            # The winning VC's position in its link is its rank mod nmax.
+            lp = self.slot_loc_t[w] * bt.nmax + wkey[w] % bt.nmax
+            w_cf = self.o_C_by_slot[w] + bt.slot_vcs_flat[lp]
             cap_w = self.capoff_C[w_cf]
             w_pkt = pkt[w_cf]
             w_idx = idx[w_cf]
@@ -929,53 +953,54 @@ class _BatchProgram:
             w_tail = w_idx == self.pkt_size[cap_w + w_pkt] - 1
 
             # Link rotation pointer advances past the winner.
-            next_pos = win_pos[w] + 1
-            n_w = bt.link_n[slt_w]
-            ovr = next_pos >= n_w
-            next_pos[ovr] -= n_w[ovr]
-            self.link_ptr[w] = next_pos
+            self.link_ptr[w] = bt.next_pos_flat[lp]
             self.busy[w_cf] += 1
-            transfers = np.bincount(w_lane, minlength=B)
+            from_q = w_src >= C
+            # Per-lane counter deltas from one histogram over (lane, source
+            # kind, delivered-or-forwarded); see _COUNTER_DELTAS.
+            kinds = np.bincount(w_lane * 4 + from_q * 2 + w_last, minlength=4 * B)
+            deltas = kinds.reshape(B, 4) @ self._counter_deltas
+            transfers = deltas[:, 0]
+            self.buffered += deltas[:, 1]
+            self.pending_inj += deltas[:, 2]
+            delivered = deltas[:, 3]
+            self.acc_flits_delivered += delivered
+            self.undelivered -= delivered
 
             # Drain buffer sources.
-            from_buf = w_src < C
-            wl_b = w_lane[from_buf]
-            sbw = wl_b * i32(C) + w_src[from_buf]
+            fb = (~from_q).nonzero()[0]
+            sbw = w_lane[fb] * C + w_src[fb]
             new_lo = self.buf_lo[sbw] + 1
             self.buf_lo[sbw] = new_lo
-            emptied = (new_lo == self.buf_hi[sbw]) & w_tail[from_buf]
+            emptied = (new_lo == self.buf_hi[sbw]) & w_tail[fb]
             self.buf_pkt[sbw[emptied]] = -1
-            self.buffered -= np.bincount(wl_b, minlength=B)
 
             # Drain injection-queue sources.
-            from_q = ~from_buf
-            if from_q.any():
-                wl_q = w_lane[from_q]
-                qfw = wl_q * i32(F) + (w_src[from_q] - C)
-                q_tail = w_tail[from_q]
+            fq = from_q.nonzero()[0]
+            if fq.size:
+                qfw = w_lane[fq] * F + (w_src[fq] - C)
+                q_tail = w_tail[fq]
+                self.q_fresh[qfw] = False
                 fresh = ~q_tail
-                self.q_head_idx[qfw[fresh]] = w_idx[from_q][fresh] + 1
-                for flat in qfw[q_tail].tolist():
-                    rest = self.q_rest[flat]
-                    if rest:
-                        self.q_head_pid[flat] = rest.popleft()
-                        self.q_rest_len[flat] -= 1
-                    else:
-                        self.q_head_pid[flat] = -1
-                    self.q_head_idx[flat] = 0
-                self.pending_inj -= np.bincount(wl_q, minlength=B)
+                self.q_head_idx[qfw[fresh]] = w_idx[fq][fresh] + 1
+                # A tail leaving promotes the queue's next packet, if any.
+                qt = qfw[q_tail]
+                if qt.size:
+                    self.q_head_idx[qt] = 0
+                    head = self.q_head_pid[qt]
+                    last = head == self.q_tail_pid[qt]
+                    nxt = (qt // F) * self.cap + head
+                    self.q_head_pid[qt] = np.where(last, -1, self.pkt_next[nxt])
+                    self.q_fresh[qt] = ~last
 
             # Tail flits release wormhole ownership.
             released = w_cf[w_tail]
             self.out_owner[released] = -1
             self.out_src[released] = -1
 
-            # Deliveries at the last hop.
-            delivered = np.bincount(w_lane[w_last], minlength=B)
-            self.acc_flits_delivered += delivered
-            self.undelivered -= delivered
-            done = w_last & w_tail
-            if done.any():
+            # Packets whose tail was delivered at its last hop.
+            done = (w_last & w_tail).nonzero()[0]
+            if done.size:
                 done_lane = w_lane[done]
                 self.acc_packets_delivered += np.bincount(done_lane, minlength=B)
                 waited = cycle - self.pkt_created[cap_w[done] + w_pkt[done]]
@@ -983,34 +1008,34 @@ class _BatchProgram:
                     self.latencies[lane].append(value)
 
             # Arrivals land after every router has been served.
-            arr = ~w_last
-            if arr.any():
+            arr = (~w_last).nonzero()[0]
+            if arr.size:
                 a_cf = w_cf[arr]
                 a_pkt = w_pkt[arr]
                 a_idx = w_idx[arr]
                 a_hops = hops[a_cf] + 1
-                was_free = self.buf_pkt[a_cf] == -1
-                self.buf_pkt[a_cf[was_free]] = a_pkt[was_free]
-                self.buf_lo[a_cf[was_free]] = a_idx[was_free]
+                was_free = (self.buf_pkt[a_cf] == -1).nonzero()[0]
+                free_cf = a_cf[was_free]
+                self.buf_pkt[free_cf] = a_pkt[was_free]
+                self.buf_lo[free_cf] = a_idx[was_free]
                 self.buf_hi[a_cf] = a_idx + 1
                 self.buf_hops[a_cf] = a_hops
                 a_fid = self.pkt_flow[cap_w[arr] + a_pkt]
                 self.buf_target[a_cf] = bt.route_flat[
-                    a_fid * i32(bt.lmax) + a_hops
+                    a_fid * bt.lmax + a_hops
                 ]
-                self.buffered += np.bincount(w_lane[arr], minlength=B)
             self.acc_transfers += transfers
         else:
             transfers = np.zeros(B, np.int64)
 
         # ---- phase 7: deadlock watchdog -------------------------------
         progress = (transfers > 0) | (self.buffered == 0)
-        self.idle[progress] = 0
-        stuck = ~progress & self.active
-        self.idle[stuck] += 1
+        idle = self.idle
+        idle += 1
+        idle[progress] = 0
         deadlocked = []
-        if stuck.any():
-            for lane in np.nonzero(self.idle >= self.watchdog)[0].tolist():
+        if idle.max() >= self.watchdog:
+            for lane in (idle >= self.watchdog).nonzero()[0].tolist():
                 if not self.active[lane]:
                     continue
                 channels = find_wait_cycle(_LaneView(self, lane))
@@ -1022,7 +1047,7 @@ class _BatchProgram:
 
     # ------------------------------------------------------------------
     def _redo_dirty(
-        self, dirty, win_valid, win_rot, win_pos,
+        self, dirty, wkey,
         alloc_valid, owner_neg, src_code, pkt, has_cand, is_last,
         win_srcpos, occ,
     ) -> None:
@@ -1053,7 +1078,6 @@ class _BatchProgram:
         buf_lo = self.buf_lo
         pkt_size = self.pkt_size
         cap = self.cap
-        big_rot = _BIG // nmax
         for g in dirty.tolist():
             lane, j = divmod(g, S)
             base = lane * C
@@ -1084,9 +1108,9 @@ class _BatchProgram:
                     if cur_occ > 0:
                         target = int(buf_target[cf])
                         sj = int(slot_of[target])
-                        sigma = lane * S + sj
-                        if sj < j and win_valid[sigma]:
-                            x = int(svf[sj * nmax + int(win_pos[sigma])])
+                        won = int(wkey[lane * S + sj]) if sj < j else _BIG
+                        if won < _BIG:
+                            x = int(svf[sj * nmax + won % nmax])
                             if x == target and int(src_code[base + x]) == cf - base:
                                 # The downstream buffer drained at an
                                 # earlier slot this cycle.
@@ -1100,19 +1124,25 @@ class _BatchProgram:
                     if cur_pkt != -1 and cur_pkt != int(pkt[cf]):
                         continue
                 # Commit this VC as the link's final winner.
-                win_valid[g] = True
-                win_rot[g] = k
-                win_pos[g] = pos
+                wkey[g] = pos + nmax if pos < start else pos
                 committed = True
                 break
             if not committed:
-                win_valid[g] = False
-                win_rot[g] = big_rot
-                win_pos[g] = 0
+                wkey[g] = _BIG
 
     # ------------------------------------------------------------------
     # run loop
     # ------------------------------------------------------------------
+    def _flush_counters(self, lane: int, stats: SimulationStats) -> None:
+        """Copy one lane's accumulated counters into its stats."""
+        stats.packets_injected = int(self.acc_packets_injected[lane])
+        stats.packets_delivered = int(self.acc_packets_delivered[lane])
+        stats.flits_delivered = int(self.acc_flits_delivered[lane])
+        stats.flit_transfers = int(self.acc_transfers[lane])
+        stats.local_deliveries = int(self.acc_local_deliveries[lane])
+        stats.packets_lost = int(self.acc_packets_lost[lane])
+        stats.flits_lost = int(self.acc_flits_lost[lane])
+
     def _finish(self, lane: int, cycle: int, blocked=None) -> None:
         """Flush one lane's counters into its stats and retire the lane."""
         np = _numpy()
@@ -1122,19 +1152,98 @@ class _BatchProgram:
         if blocked is not None:
             stats.deadlock_cycle = cycle
             stats.deadlocked_channels = list(blocked)
-        stats.packets_injected = int(self.acc_packets_injected[lane])
-        stats.packets_delivered = int(self.acc_packets_delivered[lane])
-        stats.flits_delivered = int(self.acc_flits_delivered[lane])
-        stats.flit_transfers = int(self.acc_transfers[lane])
-        stats.local_deliveries = int(self.acc_local_deliveries[lane])
-        stats.packets_lost = int(self.acc_packets_lost[lane])
-        stats.flits_lost = int(self.acc_flits_lost[lane])
+        self._flush_counters(lane, stats)
         C = self.bt.C
         channels = self.bt.template.channels
         busy = self.busy[lane * C : (lane + 1) * C]
         record = stats.channel_busy_cycles
-        for cid in np.nonzero(busy)[0].tolist():
+        for cid in busy.nonzero()[0].tolist():
             record[channels[cid]] = int(busy[cid])
+
+    def _compiled_lane(self, lane: int, cycle: int) -> CompiledSimulator:
+        """A :class:`CompiledSimulator` carrying on exactly where ``lane`` is.
+
+        Transplants the lane's network state (buffers, ownership and
+        arbitration pointers, injection queues, live packet records, busy
+        counters), its watchdog count, its statistics so far and its traffic
+        generator (a fast-path lane's draw stream is copied back from the
+        numpy mirror, along with its next packet id) into a fresh compiled
+        simulator positioned at ``cycle``.
+        """
+        np = _numpy()
+        bt = self.bt
+        t = bt.template
+        C, S, F = bt.C, bt.S, bt.F
+        Fw = max(F, 1)
+        simulator = CompiledSimulator(self.design, self.configs[lane])
+        generator = self.generators[lane]
+        for group in self.fast_groups:
+            if lane in group.lanes.tolist():
+                _, keys, pos = group.rng.get_state()[:3]
+                gauss_next = generator._rng.getstate()[2]
+                generator._rng.setstate(
+                    (3, tuple(int(k) for k in keys) + (int(pos),), gauss_next)
+                )
+                generator._next_packet_id = int(self.pkt_seq[lane])
+        simulator.generator = generator
+        stats = self.stats_list[lane]
+        self._flush_counters(lane, stats)
+        simulator.stats = stats
+        simulator.monitor._idle_cycles = int(self.idle[lane])
+        simulator._cycle = cycle
+
+        net = simulator.network
+        chans = slice(lane * C, (lane + 1) * C)
+        for name in (
+            "buf_pkt", "buf_lo", "buf_hi", "buf_hops",
+            "out_owner", "out_src", "alloc_ptr", "busy",
+        ):
+            setattr(net, name, getattr(self, name)[chans].tolist())
+        net.link_ptr = self.link_ptr[lane * max(S, 1) : lane * max(S, 1) + S].tolist()
+        rec = lane * self.cap
+        live = {pid for pid in net.buf_pkt if pid >= 0}
+        for fid in range(F):
+            flat = lane * Fw + fid
+            head = int(self.q_head_pid[flat])
+            if head >= 0:
+                queue = net.inj_pkts[fid]
+                queue.append(head)
+                tail = int(self.q_tail_pid[flat])
+                while queue[-1] != tail:
+                    queue.append(int(self.pkt_next[rec + queue[-1]]))
+                live.update(queue)
+                net.inj_head_idx[fid] = int(self.q_head_idx[flat])
+        for pid in live:
+            net.pkt_flow[pid] = int(self.pkt_flow[rec + pid])
+            net.pkt_size[pid] = int(self.pkt_size[rec + pid])
+            net.pkt_created[pid] = int(self.pkt_created[rec + pid])
+        r_flits = net.r_flits
+        for c in range(C):
+            r_flits[t.buf_router[c]] += net.buf_hi[c] - net.buf_lo[c]
+        for fid, queue in enumerate(net.inj_pkts):
+            if queue:
+                pending = sum(net.pkt_size[pid] for pid in queue)
+                r_flits[t.flow_src_router[fid]] += pending - net.inj_head_idx[fid]
+        net._buffered = int(self.buffered[lane])
+        net._pending_injection = int(self.pending_inj[lane])
+        net._undelivered = int(self.undelivered[lane])
+        net.req = net.count_requests_by_walk()
+        return simulator
+
+    def _run_compiled(
+        self, cycle: int, injecting: int, drain: bool, drain_cycles: int
+    ) -> None:
+        """Finish every remaining lane on the compiled engine, one by one.
+
+        ``injecting`` injection cycles and then ``drain_cycles`` drain
+        cycles remain of each lane's schedule, exactly the budget
+        :meth:`Simulator.run` takes.
+        """
+        for lane in range(self.B):
+            self._compiled_lane(lane, cycle).run(
+                injecting, drain=drain, drain_cycles=drain_cycles
+            )
+        self.active[:] = False
 
     def run(
         self,
@@ -1142,12 +1251,19 @@ class _BatchProgram:
         *,
         drain: bool = True,
         drain_cycles: int = 5_000,
+        scalar_tail: int = 0,
     ) -> None:
+        """Run every lane to the end of its schedule.
+
+        Once no more than ``scalar_tail`` lanes are left, they finish on
+        the compiled engine (:meth:`_run_compiled`).
+        """
         np = _numpy()
         cycle = 0
         for _ in range(max_cycles):
-            if self.B == 0:
-                break
+            if self.B <= scalar_tail:
+                self._run_compiled(cycle, max_cycles - cycle, drain, drain_cycles)
+                return
             self._inject(cycle)
             _transfers, deadlocked = self._step(cycle)
             cycle += 1
@@ -1156,14 +1272,15 @@ class _BatchProgram:
                     self._finish(lane, cycle, blocked=channels)
                 self._compact()
         if drain:
-            for _ in range(drain_cycles):
-                done = np.nonzero(self.undelivered == 0)[0]
+            for drained in range(drain_cycles):
+                done = (self.undelivered == 0).nonzero()[0]
                 if done.size:
                     for lane in done.tolist():
                         self._finish(lane, cycle)
                     self._compact()
-                if self.B == 0:
-                    break
+                if self.B <= scalar_tail:
+                    self._run_compiled(cycle, 0, drain, drain_cycles - drained)
+                    return
                 _transfers, deadlocked = self._step(cycle)
                 cycle += 1
                 if deadlocked:
@@ -1213,7 +1330,14 @@ def run_batch(
         generators = [make_traffic_generator(design, config) for config in configs]
     stats_list = [SimulationStats(design_name=design.name) for _ in configs]
     program = _BatchProgram(design, configs, generators, stats_list)
-    program.run(max_cycles, drain=drain, drain_cycles=drain_cycles)
+    # A cross-checked run keeps every lane on the array program to the
+    # end, so the numpy sweep itself is what the compiled reference checks.
+    program.run(
+        max_cycles,
+        drain=drain,
+        drain_cycles=drain_cycles,
+        scalar_tail=0 if cross_check else SCALAR_TAIL_LANES,
+    )
     if cross_check:
         for lane, config in enumerate(configs):
             reference = CompiledSimulator(design, config).run(
@@ -1277,7 +1401,12 @@ class BatchedSimulator(Simulator):
         program = _BatchProgram(
             self.design, [self.config], [self.generator], [self.stats]
         )
-        program.run(max_cycles, drain=drain, drain_cycles=drain_cycles)
+        program.run(
+            max_cycles,
+            drain=drain,
+            drain_cycles=drain_cycles,
+            scalar_tail=SCALAR_TAIL_LANES,
+        )
         self._cycle = self.stats.cycles_run
         if raise_on_deadlock and self.stats.deadlock_cycle is not None:
             raise DeadlockDetected(

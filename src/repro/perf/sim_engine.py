@@ -19,6 +19,17 @@ loop.  This module applies the PR 3/PR 4 playbook to it:
   plain ``list``\\ s of ints.  A virtual-channel buffer always holds a
   contiguous run of flits of one packet, so a buffer is four ints
   (``packet, lo, hi, hops``) instead of a deque of flit objects;
+* per-channel request counts: ``req[c]`` is the number of *ready head
+  flits* whose next hop is ``c`` — non-empty input buffers with
+  ``buf_lo == 0`` plus non-empty injection queues with ``inj_head == 0``.
+  It is kept exact in O(1) where heads appear or leave (injection into an
+  empty queue, a head commit, a tail leaving a non-empty queue, a head
+  arriving in a free buffer) and recounted by the rare fault-recovery
+  ``sync_with_design`` (which recovery always runs right after
+  ``drop_flows``).  Allocation skips an unowned
+  channel with ``req[c] == 0``: that is exactly the legacy scan's "no
+  eligible source" outcome, since arrivals land only after every router
+  has been served;
 * a :class:`CompiledSimulator` whose per-cycle sweep iterates those arrays
   in precisely the legacy schedule — same router order, same per-link VC
   round-robin, same allocation rotation, same two-phase arrival commit —
@@ -209,6 +220,8 @@ class CompiledNetwork:
         self.out_src = [_NO_SOURCE] * C
         self.alloc_ptr = [0] * C
         self.link_ptr = [0] * t.link_slot_count
+        # Request counts: ready head flits whose next hop is each channel.
+        self.req = [0] * C
         # Channel transfer counters (materialised into stats at the end).
         self.busy = [0] * C
         # Injection queues: packet ids per flow plus the head packet's next
@@ -247,7 +260,10 @@ class CompiledNetwork:
         self.pkt_flow[pid] = fid
         self.pkt_size[pid] = packet.size_flits
         self.pkt_created[pid] = packet.created_cycle
-        self.inj_pkts[fid].append(pid)
+        queue = self.inj_pkts[fid]
+        if not queue:
+            self.req[self.template.flow_routes[fid][0]] += 1
+        queue.append(pid)
         size = packet.size_flits
         self._undelivered += size
         self._pending_injection += size
@@ -286,6 +302,25 @@ class CompiledNetwork:
             pending -= self.inj_head_idx[fid]
         return buffered, pending
 
+    def count_requests_by_walk(self) -> List[int]:
+        """Per-channel ready-head request counts recounted from the raw state.
+
+        The regression oracle for :attr:`req` (and the recount after a
+        fault-recovery drop or migration): a full walk over every buffer
+        and injection queue, never used on the per-cycle path.
+        """
+        t = self.template
+        flow_routes = t.flow_routes
+        req = [0] * t.channel_count
+        for c in range(t.channel_count):
+            if self.buf_lo[c] == 0 and self.buf_hi[c] != 0:
+                route = flow_routes[self.pkt_flow[self.buf_pkt[c]]]
+                req[route[self.buf_hops[c]]] += 1
+        for fid, queue in enumerate(self.inj_pkts):
+            if queue and self.inj_head_idx[fid] == 0:
+                req[flow_routes[fid][0]] += 1
+        return req
+
     def wait_for_edges(self) -> List[Tuple[Channel, Channel]]:
         """Channel wait-for edges, in the legacy iteration order."""
         t = self.template
@@ -319,7 +354,10 @@ class CompiledNetwork:
         Returns ``(packets_dropped, flits_dropped)`` where the flit count
         covers only undelivered flits.  Used by fault recovery before a
         route swap: a packet whose flow is re-routed mid-flight cannot
-        finish its journey on the old path.
+        finish its journey on the old path.  The request counts ``req``
+        are exact again only after the :meth:`sync_with_design` that
+        recovery always runs next (the dropped flows' routes changed, so
+        it migrates and recounts them).
         """
         t = self.template
         doomed_fids = {t.flow_ids[n] for n in flow_names if n in t.flow_ids}
@@ -481,6 +519,7 @@ class CompiledNetwork:
         self._buffered = buffered
         self._pending_injection = pending
         self._undelivered = buffered + pending
+        self.req = self.count_requests_by_walk()
 
     # ------------------------------------------------------------------
     # one simulation cycle
@@ -498,6 +537,7 @@ class CompiledNetwork:
         buf_pkt, buf_lo, buf_hi, buf_hops = self.buf_pkt, self.buf_lo, self.buf_hi, self.buf_hops
         out_owner, out_src = self.out_owner, self.out_src
         alloc_ptr, link_ptr = self.alloc_ptr, self.link_ptr
+        req = self.req
         inj_pkts, inj_head = self.inj_pkts, self.inj_head_idx
         pkt_flow, pkt_size = self.pkt_flow, self.pkt_size
         flow_routes = t.flow_routes
@@ -528,6 +568,8 @@ class CompiledNetwork:
                     owner = out_owner[c]
                     if owner != -1:
                         source = out_src[c]
+                    elif req[c] == 0:
+                        continue  # no ready head flit requests c
                     else:
                         # Switch/VC allocation: round-robin over the
                         # router's sources for a head flit requesting c.
@@ -600,6 +642,8 @@ class CompiledNetwork:
                             continue
 
                     # --- commit ---------------------------------------
+                    if idx == 0:
+                        req[c] -= 1
                     if source < C:
                         buf_lo[source] = idx + 1
                         self._buffered -= 1
@@ -609,8 +653,10 @@ class CompiledNetwork:
                         fid = source - C
                         new_idx = idx + 1
                         if new_idx == pkt_size[pkt]:
-                            inj_pkts[fid].popleft()
+                            queue.popleft()
                             inj_head[fid] = 0
+                            if queue:
+                                req[c] += 1  # the next packet's head is ready
                         else:
                             inj_head[fid] = new_idx
                         self._pending_injection -= 1
@@ -647,6 +693,8 @@ class CompiledNetwork:
             if buf_pkt[c] == -1:
                 buf_pkt[c] = pkt
                 buf_lo[c] = idx
+                if idx == 0:
+                    req[flow_routes[pkt_flow[pkt]][hops]] += 1
             buf_hi[c] = idx + 1
             buf_hops[c] = hops
             self._buffered += 1

@@ -19,7 +19,7 @@ experiment API), so repeated simulations of the same spec are reproducible.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.model.design import NocDesign
 from repro.power.orion import TechnologyParameters
@@ -64,7 +64,13 @@ class FlowTrafficGenerator:
         self._rng = random.Random(seed)
         self._next_packet_id = 0
         self._rates: Dict[str, float] = self._compute_rates()
-        self._flow_order: List[str] = sorted(self._rates)
+        #: ``(flow, rate)`` in draw order — the per-cycle Bernoulli sweep.
+        self._flow_rates: List[Tuple[str, float]] = sorted(self._rates.items())
+
+    @property
+    def _flow_order(self) -> List[str]:
+        """Flow names in draw order (sorted by name)."""
+        return [name for name, _rate in self._flow_rates]
 
     # ------------------------------------------------------------------
     def _eligible_flows(self) -> List[str]:
@@ -114,33 +120,36 @@ class FlowTrafficGenerator:
             for name, rate in self._rates.items()
         )
 
-    def _injects(self, flow_name: str) -> bool:
-        """One Bernoulli draw: does ``flow_name`` inject a packet this cycle?
+    def _firing_flows(self) -> List[str]:
+        """Flows that inject a packet this cycle, in flow-name order.
 
-        Temporal scenarios (e.g. bursty on/off modulation) override this;
-        the draw order over flows is fixed by :meth:`generate`, so every
-        override stays seed-deterministic.
+        One Bernoulli draw per flow, in sorted-flow order.  Temporal
+        scenarios (e.g. bursty on/off modulation) override this; the draw
+        order over flows is fixed, so every override stays
+        seed-deterministic.
         """
-        return self._rng.random() < self._rates[flow_name]
+        random = self._rng.random
+        return [name for name, rate in self._flow_rates if random() < rate]
 
     def generate(self, cycle: int) -> List[Packet]:
         """Packets created at ``cycle`` (possibly empty), in flow-name order."""
+        traffic = self.design.traffic
+        # Routes are looked up live: fault recovery re-routes flows mid-run.
+        routes = self.design.routes
         packets: List[Packet] = []
-        for flow_name in self._flow_order:
-            if not self._injects(flow_name):
-                continue
-            flow = self.design.traffic.flow(flow_name)
-            if self.design.routes.has_route(flow_name):
-                route_channels = self.design.routes.route(flow_name).channels
+        for flow_name in self._firing_flows():
+            if routes.has_route(flow_name):
+                route_channels = routes.route(flow_name).channels
             else:
                 route_channels = ()
-            packet = Packet(
-                packet_id=self._next_packet_id,
-                flow_name=flow_name,
-                route=route_channels,
-                size_flits=flow.packet_size_flits,
-                created_cycle=cycle,
+            packets.append(
+                Packet(
+                    packet_id=self._next_packet_id,
+                    flow_name=flow_name,
+                    route=route_channels,
+                    size_flits=traffic.flow(flow_name).packet_size_flits,
+                    created_cycle=cycle,
+                )
             )
             self._next_packet_id += 1
-            packets.append(packet)
         return packets

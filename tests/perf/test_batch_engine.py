@@ -9,12 +9,16 @@ included), per-channel busy cycles, and the deadlock verdict with the
 exact channels on the wait cycle.  The suite sweeps hand-built fixtures,
 a hypothesis grid of topology families x scenarios x loads, mixed-lane
 batches, and pins the registry contract (B = 1 ``"batched"`` simulator),
-the fault-schedule fallback and the lazy numpy import error.
+the fault-schedule fallback and the lazy numpy import error.  The
+equivalence tests run both on the pure array program and with the last
+lanes handed to the compiled engine, and the hand-off itself is pinned at
+chosen cycles mid-run.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +35,11 @@ from repro.simulation.events import EventSchedule
 from repro.simulation.simulator import (
     SimulationConfig,
     build_simulator,
+    make_traffic_generator,
     simulate_design,
     stats_divergences,
 )
+from repro.simulation.stats import SimulationStats
 from repro.synthesis.regular import mesh_design, ring_design
 
 SCENARIOS = ("flows", "uniform", "hotspot", "transpose", "bursty")
@@ -45,6 +51,17 @@ def assert_lane_identical(batched, config, design, max_cycles):
     assert not problems, problems
 
 
+@contextmanager
+def scalar_tail_lanes(value):
+    """Temporarily set how many last lanes finish on the compiled engine."""
+    saved = batch_engine.SCALAR_TAIL_LANES
+    batch_engine.SCALAR_TAIL_LANES = value
+    try:
+        yield
+    finally:
+        batch_engine.SCALAR_TAIL_LANES = saved
+
+
 class TestRegistry:
     def test_batched_engine_registered(self):
         assert "batched" in simulation_engines.names()
@@ -54,6 +71,26 @@ class TestRegistry:
             small_mesh_design, SimulationConfig(injection_scale=1.0), engine="batched"
         )
         assert isinstance(simulator, BatchedSimulator)
+
+
+class TestFastInjectionDetection:
+    """Lanes whose generator is the base Bernoulli sweep take the numpy path."""
+
+    @pytest.mark.parametrize(
+        "scenario, fast",
+        [
+            ("flows", True),
+            ("uniform", True),
+            ("hotspot", True),
+            ("transpose", True),
+            ("bursty", False),
+            ("trace", False),
+        ],
+    )
+    def test_fast_generator_by_scenario(self, small_mesh_design, scenario, fast):
+        config = SimulationConfig(injection_scale=1.0, traffic_scenario=scenario)
+        generator = make_traffic_generator(small_mesh_design, config)
+        assert batch_engine._is_fast_generator(generator) is fast
 
 
 class TestSingleLaneEquivalence:
@@ -128,7 +165,7 @@ class TestMultiLaneEquivalence:
         (stats,) = run_batch(small_ring_design, [config], max_cycles=500)
         assert_lane_identical(stats, config, small_ring_design, 500)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         family=st.sampled_from(["ring", "biring", "mesh", "protected_ring"]),
         size=st.integers(min_value=4, max_value=7),
@@ -137,8 +174,11 @@ class TestMultiLaneEquivalence:
         ),
         depth=st.integers(min_value=1, max_value=4),
         scenario=st.sampled_from(SCENARIOS),
+        tail=st.sampled_from([0, 1, 2, 3]),
     )
-    def test_random_grids_identical(self, family, size, scales, depth, scenario):
+    def test_random_grids_identical(
+        self, family, size, scales, depth, scenario, tail
+    ):
         if family == "ring":
             design = ring_design(size)
         elif family == "biring":
@@ -156,9 +196,136 @@ class TestMultiLaneEquivalence:
             )
             for lane, scale in enumerate(scales)
         ]
-        stats_list = run_batch(design, configs, max_cycles=400)
+        with scalar_tail_lanes(tail):
+            stats_list = run_batch(design, configs, max_cycles=400)
         for stats, config in zip(stats_list, configs):
             assert_lane_identical(stats, config, design, 400)
+
+
+class TestSingleLaneArrayProgram(TestSingleLaneEquivalence):
+    """The single-lane checks with the lane kept on the array program."""
+
+    @pytest.fixture(autouse=True)
+    def _array_only(self):
+        with scalar_tail_lanes(0):
+            yield
+
+
+class TestMultiLaneArrayProgram(TestMultiLaneEquivalence):
+    """The multi-lane checks with every lane kept on the array program."""
+
+    # The hypothesis grid already draws the hand-off width itself.
+    test_random_grids_identical = None
+
+    @pytest.fixture(autouse=True)
+    def _array_only(self):
+        with scalar_tail_lanes(0):
+            yield
+
+
+class TestCompiledHandoff:
+    """Lanes handed to the compiled engine finish exactly as a solo run."""
+
+    @staticmethod
+    def _run_with_handoff_at(design, configs, max_cycles, handoff):
+        generators = [make_traffic_generator(design, config) for config in configs]
+        stats_list = [SimulationStats(design_name=design.name) for _ in configs]
+        program = batch_engine._BatchProgram(design, configs, generators, stats_list)
+        for cycle in range(handoff):
+            program._inject(cycle)
+            _transfers, deadlocked = program._step(cycle)
+            assert not deadlocked
+        program._run_compiled(handoff, max_cycles - handoff, True, 5_000)
+        return stats_list, generators
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("handoff", [0, 1, 97, 299])
+    def test_mid_injection_handoff(self, scenario, handoff):
+        """Queued backlogs, half-forwarded packets and owned channels move
+        over intact; lanes sharing a seed share one draw stream."""
+        design = mesh_design(3, 3)
+        configs = [
+            SimulationConfig(
+                injection_scale=scale,
+                buffer_depth=2,
+                seed=4,
+                traffic_scenario=scenario,
+            )
+            for scale in (1.0, 6.0)
+        ]
+        stats_list, generators = self._run_with_handoff_at(
+            design, configs, 300, handoff
+        )
+        for stats, generator, config in zip(stats_list, generators, configs):
+            reference = CompiledSimulator(design, config)
+            assert not stats_divergences(stats, reference.run(300))
+            # The generator carries on with the solo run's ids and draws.
+            assert generator._next_packet_id == reference.generator._next_packet_id
+            assert generator._rng.getstate() == reference.generator._rng.getstate()
+        assert stats_list[1].packets_delivered > 0
+
+    def test_drain_phase_handoff_keeps_the_drain_budget(self, small_mesh_design):
+        """A lane handed off mid-drain stops at the same drain limit."""
+        configs = [
+            SimulationConfig(injection_scale=scale, buffer_depth=1, seed=2)
+            for scale in (6.0, 40.0)
+        ]
+        with scalar_tail_lanes(1):
+            stats_list = run_batch(
+                small_mesh_design, configs, max_cycles=200, drain_cycles=60
+            )
+        for stats, config in zip(stats_list, configs):
+            reference = CompiledSimulator(small_mesh_design, config).run(
+                200, drain_cycles=60
+            )
+            assert not stats_divergences(stats, reference)
+        # The saturated lane outlived the other and hit the drain limit.
+        assert stats_list[1].cycles_run == 260 > stats_list[0].cycles_run
+
+    def test_handoff_keeps_the_watchdog_count(self):
+        """A lane handed off while stalled deadlocks on the same cycle."""
+        design = paper_ring_design()
+        config = SimulationConfig(injection_scale=6.0, buffer_depth=2, seed=1)
+        reference = CompiledSimulator(design, config).run(4000)
+        assert reference.deadlock_detected
+        handoff = reference.deadlock_cycle - 5
+        (stats,), _ = self._run_with_handoff_at(design, [config], 4000, handoff)
+        assert not stats_divergences(stats, reference)
+
+    def test_narrow_batches_never_step_the_arrays(
+        self, small_mesh_design, monkeypatch
+    ):
+        def forbidden(self, cycle):
+            raise AssertionError("the array sweep ran")
+
+        monkeypatch.setattr(batch_engine._BatchProgram, "_step", forbidden)
+        configs = [
+            SimulationConfig(injection_scale=scale, seed=1) for scale in (0.5, 2.0)
+        ]
+        with scalar_tail_lanes(2):
+            stats_list = run_batch(small_mesh_design, configs, max_cycles=300)
+        for stats, config in zip(stats_list, configs):
+            assert_lane_identical(stats, config, small_mesh_design, 300)
+
+    def test_cross_check_runs_the_array_program(
+        self, small_mesh_design, monkeypatch
+    ):
+        """cross_check verifies the numpy sweep itself, so it never hands off."""
+        swept = []
+        original = batch_engine._BatchProgram._step
+
+        def counting(self, cycle):
+            swept.append(cycle)
+            return original(self, cycle)
+
+        monkeypatch.setattr(batch_engine._BatchProgram, "_step", counting)
+        run_batch(
+            small_mesh_design,
+            [SimulationConfig(injection_scale=1.0)],
+            max_cycles=200,
+            cross_check=True,
+        )
+        assert len(swept) >= 200
 
 
 class TestCrossCheckFlag:

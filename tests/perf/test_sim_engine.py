@@ -7,7 +7,8 @@ included), per-channel busy cycles, and the deadlock verdict with the exact
 channels on the wait cycle.  The suite sweeps hand-built fixtures, a
 hypothesis grid of topology families x scenarios x loads (saturating ones
 included), and the SoC benchmarks, and pins the O(1) undelivered-flit
-counter of the compiled network to a full state walk.
+counter and the per-channel request counts of the compiled network to a
+full state walk.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from repro.errors import SimulationError
 from repro.examples_data.paper_ring import paper_ring_design
 from repro.perf.design_context import counters
 from repro.perf.sim_engine import CompiledNetwork, CompiledSimulator, SimulationTemplate
+from repro.simulation.events import EventSchedule
 from repro.simulation.simulator import SimulationConfig, Simulator, simulate_design
 from repro.simulation.stats import SimulationStats
 from repro.synthesis.regular import mesh_design, ring_design
 
 SCENARIOS = ("flows", "uniform", "hotspot", "transpose", "bursty")
+RECOVERY_POLICIES = ("idle", "protection", "removal", "reroute")
 
 
 def _run_both(design, config, max_cycles):
@@ -146,18 +149,30 @@ class TestCrossCheckFlag:
 
 
 class TestCompiledNetworkAccounting:
+    @staticmethod
+    def _assert_counters_match_walk(network):
+        buffered, pending = network.count_flits_by_walk()
+        assert network.flits_in_network() == buffered
+        assert network.flits_pending_injection() == pending
+        assert network.undelivered_flits == buffered + pending
+        assert network.req == network.count_requests_by_walk()
+
     def _drive(self, design, config, cycles):
         simulator = CompiledSimulator(design, config)
         network = simulator.network
+        recovery = simulator._recovery
         for cycle in range(cycles):
+            if recovery is not None:
+                recovery.on_cycle(cycle, network, simulator.stats)
+                self._assert_counters_match_walk(network)
             simulator._inject_new_packets(cycle)
+            self._assert_counters_match_walk(network)
             network.step(cycle, simulator.stats)
             # The O(1) counters must agree with a full walk at every cycle.
-            buffered, pending = network.count_flits_by_walk()
-            assert network.flits_in_network() == buffered
-            assert network.flits_pending_injection() == pending
-            assert network.undelivered_flits == buffered + pending
-        return network
+            self._assert_counters_match_walk(network)
+            if recovery is not None:
+                recovery.after_step(cycle, network, simulator.stats)
+        return simulator
 
     def test_undelivered_flits_matches_full_walk(self):
         design = mesh_design(3, 3)
@@ -168,6 +183,40 @@ class TestCompiledNetworkAccounting:
         design = paper_ring_design()
         config = SimulationConfig(injection_scale=8.0, buffer_depth=2, seed=1)
         self._drive(design, config, 500)
+
+    @pytest.mark.parametrize("policy", RECOVERY_POLICIES)
+    def test_counters_match_walk_across_fault_recovery(self, policy, monkeypatch):
+        """drop_flows + sync_with_design keep every counter exact."""
+        design = mesh_design(3, 3)
+        schedule = EventSchedule.random(
+            design.topology,
+            seed=3,
+            link_failures=4,
+            start_cycle=40,
+            end_cycle=200,
+            restore_after=80,
+        )
+        config = SimulationConfig(
+            injection_scale=40.0,
+            buffer_depth=2,
+            seed=3,
+            fault_schedule=schedule,
+            fault_recovery=policy,
+        )
+        drops = []
+        original = CompiledNetwork.drop_flows
+
+        def recording(network, flow_names):
+            result = original(network, flow_names)
+            drops.append((network.template, result[0]))
+            return result
+
+        monkeypatch.setattr(CompiledNetwork, "drop_flows", recording)
+        simulator = self._drive(design, config, 400)
+        assert simulator.stats.fault_events_applied > 0
+        assert any(packets for _, packets in drops)
+        # sync_with_design migrated the network onto a recompiled template.
+        assert simulator.network.template is not drops[0][0]
 
     def test_undelivered_reaches_zero_after_drain(self, small_mesh_design):
         config = SimulationConfig(injection_scale=1.0, seed=0)

@@ -165,3 +165,44 @@ class TestSeedThreading:
         b = make_generator(simple_line_design, "bursty", injection_scale=10.0, seed=5)
         stream_b = [len(b.generate(c)) for c in range(200)]
         assert stream_a == stream_b
+
+
+def _reference_injects(generator, flow_name):
+    """The per-flow Bernoulli draw of the generators, one call per flow."""
+    rng = generator._rng
+    if isinstance(generator, BurstyTrafficGenerator):
+        on = generator._on[flow_name]
+        if on:
+            if rng.random() < generator._p_off:
+                on = False
+        elif rng.random() < generator._p_on:
+            on = True
+        generator._on[flow_name] = on
+        if not on:
+            return False
+        return rng.random() < generator._rates[flow_name] / generator.duty
+    return rng.random() < generator._rates[flow_name]
+
+
+class TestDrawStream:
+    """The one-pass sweep draws exactly what a per-flow draw loop draws."""
+
+    @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+    def test_stream_and_rng_state_match_per_flow_sweep(
+        self, d36_8_design_14sw, scenario
+    ):
+        kwargs = dict(injection_scale=16.0, seed=11)
+        generator = make_generator(d36_8_design_14sw, scenario, **kwargs)
+        reference = make_generator(d36_8_design_14sw, scenario, **kwargs)
+        emitted, expected = [], []
+        for cycle in range(500):
+            emitted.extend(
+                (p.packet_id, p.flow_name, p.created_cycle)
+                for p in generator.generate(cycle)
+            )
+            for flow_name in reference._flow_order:
+                if _reference_injects(reference, flow_name):
+                    expected.append((len(expected), flow_name, cycle))
+        assert len(expected) > 1000
+        assert emitted == expected
+        assert generator._rng.getstate() == reference._rng.getstate()
