@@ -95,8 +95,11 @@ class CDGIndex:
     # ------------------------------------------------------------------
     # route deltas
     # ------------------------------------------------------------------
-    def add_route(self, flow_name: str, channels: Iterable[Channel]) -> None:
-        """Add one flow's route: vertices, dependencies and usage counts."""
+    def add_route(self, flow_name: str, channels: Iterable[Channel]) -> List[int]:
+        """Add one flow's route: vertices, dependencies and usage counts.
+
+        Returns the route's interned channel ids, in traversal order.
+        """
         ids = [self.intern(channel) for channel in channels]
         for channel_id in ids:
             if self._usage[channel_id] == 0:
@@ -104,6 +107,7 @@ class CDGIndex:
             self._usage[channel_id] += 1
         for first, second in zip(ids, ids[1:]):
             self._add_dependency(first, second, flow_name)
+        return ids
 
     def remove_route(self, flow_name: str, channels: Iterable[Channel]) -> None:
         """Undo :meth:`add_route` for the same flow and channel sequence."""

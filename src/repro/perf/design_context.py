@@ -21,7 +21,9 @@ already treats the CDG):
   the switch graph in place (:meth:`SwitchGraph.add_link`), preserving the
   traversal order the routing tie-break depends on;
 * re-routing a flow replaces its channel-id array and applies the route
-  delta to the underlying :class:`CDGIndex`.
+  delta to the underlying :class:`CDGIndex`; so do route assignments and
+  removals made through :meth:`DesignContext.set_route` /
+  :meth:`DesignContext.remove_route` (fault recovery's route edits).
 
 Out-of-band topology edits (anything that changes the link set without
 going through :meth:`notify_link_added`) are caught by a cheap link-count
@@ -58,9 +60,11 @@ class ContextCounters:
     """Build/reuse statistics, aggregated over all :class:`DesignContext`\\ s.
 
     ``*_builds`` count from-scratch constructions, ``*_reuses`` count cache
-    hits and ``graph_deltas`` counts in-place link appends.  The benchmark
-    conftest surfaces these so a regression that silently falls back to
-    rebuilding per call fails the perf smoke instead of just getting slower.
+    hits, ``graph_deltas`` counts in-place link appends and
+    ``route_deltas`` route edits applied to a CDG index in place.  The
+    benchmark conftest surfaces these so a regression that silently falls
+    back to rebuilding per call fails the perf smoke instead of just
+    getting slower.
     """
 
     contexts_created: int = 0
@@ -71,6 +75,7 @@ class ContextCounters:
     updown_builds: int = 0
     updown_reuses: int = 0
     route_deltas: int = 0
+    cdg_builds: int = 0
     cost_tables_indexed: int = 0
     sim_template_builds: int = 0
     sim_template_reuses: int = 0
@@ -146,7 +151,7 @@ class DesignContext:
         The clone is deep (:meth:`CDGIndex.clone`), so removal mutations on
         the copy never leak back into this context.
         """
-        if self._cdg is None or self._cdg_routes_version != self.design.routes.version:
+        if not self._cdg_synced():
             return None
         if self.design.topology._links != clone_design.topology._links:
             return None
@@ -239,9 +244,9 @@ class DesignContext:
         that removes one link and adds another (the counts alias), so any
         mutation that *removes* links — fault injection degrading the
         topology mid-simulation — must call this instead of relying on it.
-        The CDG index survives: it is keyed on the route-set version, and
-        route changes caused by the fault flow through the normal route
-        APIs.
+        The CDG index survives: it depends on the routes only, and fault
+        recovery makes its route edits through :meth:`set_route` and
+        :meth:`remove_route`, which apply them to the index as deltas.
         """
         self._graph = None
         self._graph_link_count = -1
@@ -299,8 +304,9 @@ class DesignContext:
         """The incrementally maintained CDG of the design's current routes.
 
         Built from the route set on first access; afterwards every route
-        change must flow through :meth:`apply_route_change` to keep it (and
-        the per-flow id arrays) exact.  Route changes that did *not* —
+        change must flow through :meth:`apply_route_change`,
+        :meth:`set_route` or :meth:`remove_route` to keep it (and the
+        per-flow id arrays) exact.  Route changes that did *not* —
         detected by comparing the route set's mutation
         :attr:`~repro.model.routes.RouteSet.version` against the one the
         index was synchronised to — trigger a from-scratch rebuild, so a
@@ -318,13 +324,15 @@ class DesignContext:
             for flow_name, route in routes.items():
                 self._add_route_ids(flow_name, route)
             self._cdg_routes_version = routes.version
+            counters.cdg_builds += 1
         return self._cdg
 
+    def _cdg_synced(self) -> bool:
+        """True when a CDG index is built and reflects the current routes."""
+        return self._cdg is not None and self._cdg_routes_version == self.design.routes.version
+
     def _add_route_ids(self, flow_name: str, route: Route) -> None:
-        cdg = self._cdg
-        ids = tuple(cdg.intern(channel) for channel in route.channels)
-        cdg.add_route(flow_name, route.channels)
-        self._route_ids[flow_name] = ids
+        self._route_ids[flow_name] = tuple(self._cdg.add_route(flow_name, route.channels))
 
     def route_ids(self, flow_name: str) -> Tuple[int, ...]:
         """The flow's route as a tuple of interned channel ids."""
@@ -345,6 +353,41 @@ class DesignContext:
             cdg.intern(channel) for channel in new_route.channels
         )
         self._cdg_routes_version = self.design.routes.version
+        counters.route_deltas += 1
+
+    def set_route(self, flow_name: str, route: Route) -> None:
+        """Assign (or replace) a flow's route and patch the CDG index.
+
+        The route-set edit for callers outside the removal loop (fault
+        recovery's re-routing, reinstating and protection switching): when
+        the index was synchronised with the routes before the edit, the
+        route is applied as a delta and the index stays synchronised, so
+        no later :meth:`cdg_index` access rebuilds it.  An unbuilt or
+        already stale index is left alone and rebuilt on next access.
+        """
+        routes = self.design.routes
+        synced = self._cdg_synced()
+        old_route = routes.route(flow_name) if synced and routes.has_route(flow_name) else None
+        routes.set_route(flow_name, route)
+        if not synced:
+            return
+        if old_route is not None:
+            self._cdg.remove_route(flow_name, old_route.channels)
+        self._add_route_ids(flow_name, route)
+        self._cdg_routes_version = routes.version
+        counters.route_deltas += 1
+
+    def remove_route(self, flow_name: str) -> None:
+        """Delete a flow's route and patch the CDG index (see :meth:`set_route`)."""
+        routes = self.design.routes
+        synced = self._cdg_synced()
+        old_route = routes.route(flow_name)
+        routes.remove_route(flow_name)
+        if not synced:
+            return
+        self._cdg.remove_route(flow_name, old_route.channels)
+        del self._route_ids[flow_name]
+        self._cdg_routes_version = routes.version
         counters.route_deltas += 1
 
     def flows_creating(self, edge: Tuple[Channel, Channel]) -> List[str]:

@@ -44,6 +44,19 @@ registry and :attr:`repro.simulation.simulator.SimulationConfig
     routing or removal ever happens.  Switching is non-revertive — a
     flow stays on its backup when the primary's links return.
 
+Cost: per-batch work follows the batch, not the design.  The severed
+flows come out of one pass over the routes against the batch's removed
+links.  Every route edit of the controller and its policies goes through
+:meth:`~repro.perf.design_context.DesignContext.set_route` /
+:meth:`~repro.perf.design_context.DesignContext.remove_route`, which
+patch the design context's CDG index in place, so the in-run
+``"context"`` removal starts from a current index (built at most once per
+run, on the first batch, unless the run's design copy forked it).  The
+recorded verdict ``post_fault_deadlock_free`` is Kahn's algorithm on that
+index (:meth:`~repro.perf.cdg_index.CDGIndex.is_acyclic`).  A cycle with
+no event due costs one comparison, and a recovery-latency watch one
+liveness probe per cycle plus one per packet it outlives.
+
 Determinism: the controller works on the simulator's private design copy,
 draws no randomness of its own, and touches the network only between
 cycles — so compiled and legacy engines replaying the same schedule stay
@@ -57,11 +70,10 @@ whose survivors never drained before the run ended.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.api.registry import recovery_policies
-from repro.core.cdg import build_cdg
-from repro.core.cycles import count_cycles
 from repro.core.removal import remove_deadlocks
 from repro.errors import RouteError, SimulationError
 from repro.model.channels import Channel, Link
@@ -157,12 +169,11 @@ class IdlePolicy(RecoveryPolicy):
             self._parked[name] = old_routes[name]
         if not restored:
             return
-        design = self.controller.design
-        topology = design.topology
+        topology = self.controller.design.topology
         for name in sorted(self._parked):
             route = self._parked[name]
             if all(topology.has_link(link) for link in route.links):
-                design.routes.set_route(name, route)
+                context.set_route(name, route)
                 del self._parked[name]
 
 
@@ -171,31 +182,43 @@ class IdlePolicy(RecoveryPolicy):
 BACKUP_SUFFIX = "__backup"
 
 
+#: ``src -> [(dst, parallel links)]``: destinations and links both sorted.
+LinkGroups = Dict[str, List[Tuple[str, Tuple[Link, ...]]]]
+
+
+def _link_groups(topology) -> LinkGroups:
+    """The topology's parallel links grouped by ``(src, dst)``, once per design."""
+    grouped: Dict[Tuple[str, str], List[Link]] = {}
+    for link in topology.links:  # sorted: lowest parallel index first
+        grouped.setdefault((link.src, link.dst), []).append(link)
+    groups: LinkGroups = {}
+    for (src, dst), links in sorted(grouped.items()):
+        groups.setdefault(src, []).append((dst, tuple(links)))
+    return groups
+
+
 def _disjoint_path(
-    topology, source: str, destination: str, avoid: Set[Link]
+    groups: LinkGroups, source: str, destination: str, avoid: Set[Link]
 ) -> Optional[Tuple[Link, ...]]:
     """Deterministic BFS shortest link path avoiding the ``avoid`` set.
 
-    Ties break on sorted link order (lowest parallel index first), so the
-    backup route is a pure function of the topology and the primary.
+    Neighbours are visited in sorted order and each hop takes the lowest
+    parallel link not in ``avoid``, so the backup route is a pure function
+    of the topology (``groups``, see :func:`_link_groups`) and the primary.
     """
-    best: Dict[Tuple[str, str], Link] = {}
-    for link in topology.links:  # sorted: lowest index wins per (src, dst)
-        if link in avoid:
-            continue
-        best.setdefault((link.src, link.dst), link)
-    adjacency: Dict[str, List[Tuple[str, Link]]] = {}
-    for (src, dst), link in sorted(best.items()):
-        adjacency.setdefault(src, []).append((dst, link))
     parents: Dict[str, Optional[Tuple[str, Link]]] = {source: None}
     frontier = [source]
     while frontier and destination not in parents:
         next_frontier: List[str] = []
         for switch in frontier:
-            for neighbor, link in adjacency.get(switch, ()):
-                if neighbor not in parents:
-                    parents[neighbor] = (switch, link)
-                    next_frontier.append(neighbor)
+            for neighbor, links in groups.get(switch, ()):
+                if neighbor in parents:
+                    continue
+                for link in links:
+                    if link not in avoid:
+                        parents[neighbor] = (switch, link)
+                        next_frontier.append(neighbor)
+                        break
         frontier = next_frontier
     if destination not in parents:
         return None
@@ -236,6 +259,10 @@ class ProtectionPolicy(RecoveryPolicy):
 
     def prepare(self, design: NocDesign) -> NocDesign:
         combined = design.copy()
+        # When copy() forked a current CDG index, the backups enter it as
+        # deltas and the joint removal run below starts from it.
+        context = DesignContext.of(combined)
+        groups = _link_groups(design.topology)
         backup_names: Dict[str, str] = {}
         flows = sorted(design.traffic.flows, key=lambda f: (-f.bandwidth, f.name))
         for flow in flows:
@@ -251,7 +278,7 @@ class ProtectionPolicy(RecoveryPolicy):
                     f"policy's backup namespace ({BACKUP_SUFFIX!r} suffix)"
                 )
             path = _disjoint_path(
-                design.topology,
+                groups,
                 design.switch_of(flow.src),
                 design.switch_of(flow.dst),
                 set(primary.links),
@@ -265,9 +292,7 @@ class ProtectionPolicy(RecoveryPolicy):
                 bandwidth=flow.bandwidth,
                 packet_size_flits=flow.packet_size_flits,
             )
-            combined.routes.set_route(
-                backup_name, Route([Channel(link, 0) for link in path])
-            )
+            context.set_route(backup_name, Route([Channel(link, 0) for link in path]))
             backup_names[flow.name] = backup_name
         if backup_names:
             remove_deadlocks(
@@ -302,8 +327,16 @@ class ProtectionPolicy(RecoveryPolicy):
                 continue
             for candidate in self._candidates[name]:
                 if all(topology.has_link(link) for link in candidate.links):
-                    routes.set_route(name, candidate)
+                    context.set_route(name, candidate)
                     break
+
+
+def _severed_flows(routes: Dict[str, Route], removed: List[Link]) -> List[str]:
+    """Flows whose route crosses any ``removed`` link, in one pass over ``routes``."""
+    removed_links = set(removed)
+    return [
+        name for name, route in routes.items() if not removed_links.isdisjoint(route.links)
+    ]
 
 
 class RecoveryController:
@@ -333,10 +366,14 @@ class RecoveryController:
         self.design = self.policy.prepare(design)
         self._events = schedule.events
         self._cursor = 0
+        #: Cycle of the next unapplied event (``inf`` once all are applied).
+        self._next_due = self._events[0].cycle if self._events else math.inf
         #: Links currently failed: link -> (vc_count, length_mm or None).
         self._failed: Dict[Link, Tuple[int, Optional[float]]] = {}
         #: Active recovery watches: (stats index, batch cycle, live pids).
-        self._watches: List[Tuple[int, int, Set[int]]] = []
+        #: Each pid list is pruned from its end only (a packet never comes
+        #: back to life), so a watch costs O(1) per cycle plus its pops.
+        self._watches: List[Tuple[int, int, List[int]]] = []
         #: Links removed / restored by the batch currently being applied.
         self._batch_removed: List[Link] = []
         self._batch_restored: List[Link] = []
@@ -420,18 +457,21 @@ class RecoveryController:
                 )
             except RouteError:
                 continue
-            routes.set_route(flow.name, route)
+            context.set_route(flow.name, route)
             router.commit(route, flow.bandwidth)
 
     def on_cycle(self, cycle: int, network, stats) -> None:
         """Apply every event due at (or before) ``cycle``, then recover."""
-        events = self._events
-        due = []
-        while self._cursor < len(events) and events[self._cursor].cycle <= cycle:
-            due.append(events[self._cursor])
-            self._cursor += 1
-        if not due:
+        if cycle < self._next_due:
             return
+        events = self._events
+        start = self._cursor
+        while self._cursor < len(events) and events[self._cursor].cycle <= cycle:
+            self._cursor += 1
+        due = events[start:self._cursor]
+        self._next_due = (
+            events[self._cursor].cycle if self._cursor < len(events) else math.inf
+        )
         stats.fault_events_applied += len(due)
 
         design = self.design
@@ -450,11 +490,9 @@ class RecoveryController:
 
         context = DesignContext.of(design)
         context.notify_topology_changed()
-        severed = []
-        for link in removed:
-            for name in routes.flows_using_link(link):
-                routes.remove_route(name)
-                severed.append(name)
+        severed = _severed_flows(old_routes, removed)
+        for name in severed:
+            context.remove_route(name)
 
         self.policy.repair(
             context,
@@ -495,7 +533,7 @@ class RecoveryController:
         stats.flits_lost += dropped_flits
         network.sync_with_design()
 
-        acyclic = count_cycles(build_cdg(design), limit=1) == 0
+        acyclic = context.cdg_index().is_acyclic()
         stats.post_fault_deadlock_free = (
             acyclic
             if stats.post_fault_deadlock_free is None
@@ -506,7 +544,7 @@ class RecoveryController:
         index = len(stats.recovery_cycles)
         if survivors:
             stats.recovery_cycles.append(-1)
-            self._watches.append((index, cycle, survivors))
+            self._watches.append((index, cycle, sorted(survivors)))
         else:
             stats.recovery_cycles.append(0)
 
@@ -515,10 +553,12 @@ class RecoveryController:
         if not self._watches:
             return
         remaining = []
-        for index, batch_cycle, pids in self._watches:
-            pids = {pid for pid in pids if network.is_packet_live(pid)}
+        for watch in self._watches:
+            index, batch_cycle, pids = watch
+            while pids and not network.is_packet_live(pids[-1]):
+                pids.pop()
             if pids:
-                remaining.append((index, batch_cycle, pids))
+                remaining.append(watch)
             else:
                 stats.recovery_cycles[index] = cycle - batch_cycle + 1
         self._watches = remaining

@@ -11,6 +11,9 @@ design seed pinned, and its render must never average the ``-1``
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.api.reports import (
@@ -21,7 +24,8 @@ from repro.api.reports import (
     report_types,
 )
 from repro.api.result import RunResult
-from repro.api.spec import RunSpec, expand_run_entry
+from repro.api.runner import Runner
+from repro.api.spec import ExperimentPlan, RunSpec, expand_run_entry
 from repro.errors import PlanError
 
 
@@ -230,3 +234,48 @@ class TestAvailabilityReport:
         assert idle["batches_never_drained"] == 1
         assert idle["deadlock_free_fraction"] == pytest.approx(0.9)
         assert idle["mean_flits_lost"] == pytest.approx(8.0)
+
+
+#: A small availability grid: every recovery policy on D36_8 @ 14 (a
+#: cyclic CDG, so in-run removal has cycles to break) under one
+#: fail-and-restore spatial burst, 300 cycles.
+GOLDEN_PLAN = {
+    "format_version": 1,
+    "name": "golden-availability",
+    "reports": [
+        {
+            "type": "availability",
+            "benchmark": "D36_8",
+            "switch_count": 14,
+            "injection_scale": 1.0,
+            "sim_cycles": 300,
+            "fault_model": "spatial_burst",
+            "fault_params": {
+                "radius": 1,
+                "start_cycle": 40,
+                "end_cycle": 200,
+                "restore_after": 90,
+            },
+            "recovery_policies": ["removal", "reroute", "idle", "protection"],
+            "seeds": [0],
+            "seed": 0,
+        }
+    ],
+}
+
+#: SHA-256 of the grid's records (wall-clock ``removal_runtime_s``
+#: excluded), recorded before fault recovery moved to CDG-index deltas.
+GOLDEN_RECORDS_SHA256 = "5bcc8b04cd7093db347841cdb288d5ab9858761b24553c7dbfc1e6f0c9a95140"
+
+
+def test_golden_availability_records():
+    """End-to-end byte identity of in-run recovery across every policy."""
+    outcome = Runner(cache_dir=None, jobs=1).run(ExperimentPlan.from_dict(GOLDEN_PLAN))
+    digest = hashlib.sha256()
+    for result in outcome.results:
+        document = result.to_dict()
+        document.pop("removal_runtime_s")
+        digest.update(json.dumps(document, sort_keys=True, separators=(",", ":")).encode())
+        digest.update(b"\n")
+    assert len(outcome.results) == 4
+    assert digest.hexdigest() == GOLDEN_RECORDS_SHA256

@@ -207,6 +207,39 @@ class TestRouteIndex:
             new_route.channels
         )
 
+    def test_set_and_remove_route_patch_a_synced_index(self, design):
+        from repro.core.cdg import build_cdg
+
+        context = DesignContext.of(design)
+        cdg = context.cdg_index()
+        first, second = design.routes.flow_names[:2]
+        moved = design.routes.route(first)
+        counters.reset()
+        context.remove_route(first)
+        context.set_route(second, moved)  # replaces an existing route
+        context.set_route(first + "_copy", moved)  # adds a new flow's route
+        assert not design.routes.has_route(first)
+        assert design.routes.route(second) == moved
+        assert context.cdg_index() is cdg
+        assert counters.cdg_builds == 0
+        assert counters.route_deltas == 3
+        cdg.verify_against(build_cdg(design))
+        assert context.route_ids(second) == context.route_ids(first + "_copy")
+
+    def test_set_route_on_a_stale_index_leaves_the_rebuild_to_it(self, design):
+        from repro.core.cdg import build_cdg
+
+        context = DesignContext.of(design)
+        stale = context.cdg_index()
+        first, second = design.routes.flow_names[:2]
+        design.routes.remove_route(first)  # out-of-band: the index is stale
+        context.set_route(second, design.routes.route(second))
+        counters.reset()
+        fresh = context.cdg_index()
+        assert fresh is not stale
+        assert counters.cdg_builds == 1
+        fresh.verify_against(build_cdg(design))
+
     def test_out_of_band_route_change_rebuilds_cdg(self, design):
         """Routes rewritten without apply_route_change must not leave a
         stale CDG behind (version-stamp staleness guard)."""
