@@ -18,12 +18,13 @@ from __future__ import annotations
 from conftest import banner, save_results
 
 from repro.analysis.metrics import format_table
-from repro.analysis.sweeps import area_savings_table
+from repro.api.reports import FIGURE10_SWITCH_COUNT, run_report
 
 
 def test_area_and_vc_savings(benchmark):
     """Regenerate the 88% VC-reduction and 66% area-reduction claims."""
-    data = benchmark.pedantic(area_savings_table, rounds=1, iterations=1)
+    params = {"seed": 0, "switch_count": FIGURE10_SWITCH_COUNT}
+    data = benchmark.pedantic(run_report, args=("area", params), rounds=1, iterations=1)
 
     print(banner("Section 5 — VC and area reduction vs. resource ordering (14 switches)"))
     rows = []

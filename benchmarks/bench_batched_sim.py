@@ -25,8 +25,8 @@ grid (full configuration):
   :func:`~repro.api.runner.execute_spec` executions of every spec in the
   grid (same cost bundle, fresh cache).
 
-Results go to ``benchmarks/results/batched_sim.json`` and
-``BENCH_batched_sim.json`` at the repository root.  Runnable standalone::
+Results go to ``BENCH_batched_sim.json`` at the repository root.  Runnable
+standalone::
 
     PYTHONPATH=src python benchmarks/bench_batched_sim.py           # full
     PYTHONPATH=src python benchmarks/bench_batched_sim.py --smoke   # CI, <60 s
@@ -238,11 +238,7 @@ def run_batched_benchmark(
 
 
 def _persist(data: dict) -> None:
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(data, indent=2, sort_keys=True)
-    (results_dir / "batched_sim.json").write_text(payload)
-    ROOT_RESULT_PATH.write_text(payload + "\n")
+    ROOT_RESULT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _report(data: dict) -> str:

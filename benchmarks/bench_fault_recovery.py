@@ -23,9 +23,8 @@ configuration):
   each policy's repair strategy against the fault-free baseline and
   recording its delivery/loss/recovery profile.
 
-Results go to ``benchmarks/results/fault_recovery.json`` and
-``BENCH_fault_recovery.json`` at the repository root.  Runnable
-standalone::
+Results go to ``BENCH_fault_recovery.json`` at the repository root.
+Runnable standalone::
 
     PYTHONPATH=src python benchmarks/bench_fault_recovery.py           # full
     PYTHONPATH=src python benchmarks/bench_fault_recovery.py --smoke   # CI, <60 s
@@ -183,11 +182,7 @@ def run_fault_recovery_benchmark(
 
 
 def _persist(data: dict) -> None:
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(data, indent=2, sort_keys=True)
-    (results_dir / "fault_recovery.json").write_text(payload)
-    ROOT_RESULT_PATH.write_text(payload + "\n")
+    ROOT_RESULT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _report(data: dict) -> str:

@@ -11,12 +11,13 @@ from __future__ import annotations
 from conftest import banner, save_results
 
 from repro.analysis.metrics import format_table
-from repro.analysis.sweeps import figure10_power_series
+from repro.api.reports import FIGURE10_SWITCH_COUNT, run_report
 
 
 def test_figure10_normalised_power(benchmark):
     """Regenerate the normalised power bars of Figure 10."""
-    data = benchmark.pedantic(figure10_power_series, rounds=1, iterations=1)
+    params = {"seed": 0, "switch_count": FIGURE10_SWITCH_COUNT}
+    data = benchmark.pedantic(run_report, args=("figure10", params), rounds=1, iterations=1)
 
     print(banner("Figure 10 — normalised power consumption (14-switch topologies)"))
     rows = []

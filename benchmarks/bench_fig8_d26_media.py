@@ -13,14 +13,13 @@ from __future__ import annotations
 from conftest import banner, save_results
 
 from repro.analysis.metrics import format_table
-from repro.analysis.sweeps import FIGURE8_SWITCH_COUNTS, figure8_series
+from repro.api.reports import FIGURE8_SWITCH_COUNTS, run_report
 
 
 def test_figure8_vc_overhead_sweep(benchmark):
     """Regenerate the two series of Figure 8."""
-    data = benchmark.pedantic(
-        figure8_series, kwargs={"switch_counts": FIGURE8_SWITCH_COUNTS}, rounds=1, iterations=1
-    )
+    params = {"seed": 0, "switch_counts": FIGURE8_SWITCH_COUNTS}
+    data = benchmark.pedantic(run_report, args=("figure8", params), rounds=1, iterations=1)
 
     print(banner("Figure 8 — number of extra VCs vs. switch count (D26_media)"))
     rows = list(

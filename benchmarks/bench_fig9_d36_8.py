@@ -12,14 +12,13 @@ from __future__ import annotations
 from conftest import banner, save_results
 
 from repro.analysis.metrics import format_table, percent_reduction
-from repro.analysis.sweeps import FIGURE9_SWITCH_COUNTS, figure9_series
+from repro.api.reports import FIGURE9_SWITCH_COUNTS, run_report
 
 
 def test_figure9_vc_overhead_sweep(benchmark):
     """Regenerate the two series of Figure 9."""
-    data = benchmark.pedantic(
-        figure9_series, kwargs={"switch_counts": FIGURE9_SWITCH_COUNTS}, rounds=1, iterations=1
-    )
+    params = {"seed": 0, "switch_counts": FIGURE9_SWITCH_COUNTS}
+    data = benchmark.pedantic(run_report, args=("figure9", params), rounds=1, iterations=1)
 
     print(banner("Figure 9 — number of extra VCs vs. switch count (D36_8)"))
     rows = []

@@ -12,12 +12,13 @@ from __future__ import annotations
 from conftest import banner, save_results
 
 from repro.analysis.metrics import format_table
-from repro.analysis.sweeps import overhead_vs_unprotected
+from repro.api.reports import FIGURE10_SWITCH_COUNT, run_report
 
 
 def test_overhead_vs_unprotected_designs(benchmark):
     """Regenerate the <5% power/area overhead table."""
-    data = benchmark.pedantic(overhead_vs_unprotected, rounds=1, iterations=1)
+    params = {"seed": 0, "switch_count": FIGURE10_SWITCH_COUNT}
+    data = benchmark.pedantic(run_report, args=("overhead", params), rounds=1, iterations=1)
 
     print(banner("Section 5 — overhead of deadlock removal vs. unprotected designs"))
     rows = []

@@ -19,8 +19,7 @@ This benchmark pits the two engines against each other on:
 * **all six SoC benchmarks** through the full synthesis pipeline — the
   serialized route sets of both engines must be *byte-identical*.
 
-Results are persisted both to ``benchmarks/results/routing.json`` (the
-harness convention) and to ``BENCH_routing.json`` at the repository root.
+Results are persisted to ``BENCH_routing.json`` at the repository root.
 Runnable standalone::
 
     PYTHONPATH=src python benchmarks/bench_routing.py           # full
@@ -177,12 +176,7 @@ def run_routing_benchmark(
 
 
 def _persist(data: dict) -> None:
-    """Write the numbers to the harness results dir and the repo root."""
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(data, indent=2, sort_keys=True)
-    (results_dir / "routing.json").write_text(payload)
-    ROOT_RESULT_PATH.write_text(payload + "\n")
+    ROOT_RESULT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _case_line(label: str, case: Dict[str, object]) -> str:

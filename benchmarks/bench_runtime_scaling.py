@@ -19,7 +19,7 @@ import time
 from conftest import banner, save_results
 
 from repro.analysis.metrics import format_table
-from repro.analysis.sweeps import runtime_scaling
+from repro.analysis.experiments import runtime_scaling
 from repro.benchmarks.registry import get_benchmark
 from repro.core.removal import remove_deadlocks
 from repro.synthesis.builder import SynthesisConfig, synthesize_design

@@ -22,9 +22,8 @@ could drift.  This benchmark:
   (``counters.sim_template_reuses``), so a regression that recompiles per
   run fails loudly here.
 
-Results go to ``benchmarks/results/simulation.json`` and
-``BENCH_simulation.json`` at the repository root, together with the
-interpreter, machine and commit they were measured on.  Timings from
+Results go to ``BENCH_simulation.json`` at the repository root, together
+with the interpreter, machine and commit they were measured on.  Timings from
 different machines do not compare, so ``--baseline`` embeds the timings of
 another checkout's results file (say, the parent commit's, measured just
 before on the same machine) next to this run's.  Runnable standalone::
@@ -240,11 +239,7 @@ def run_simulation_benchmark(
 
 
 def _persist(data: dict) -> None:
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(data, indent=2, sort_keys=True)
-    (results_dir / "simulation.json").write_text(payload)
-    ROOT_RESULT_PATH.write_text(payload + "\n")
+    ROOT_RESULT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _report(data: dict) -> str:

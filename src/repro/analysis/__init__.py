@@ -3,24 +3,19 @@
 * :mod:`repro.analysis.metrics` — percentages, normalisation, text tables.
 * :mod:`repro.analysis.experiments` — the three-way comparison (unprotected
   / deadlock removal / resource ordering) the paper's evaluation is built
-  on.
-* :mod:`repro.analysis.sweeps` — the figure-level sweeps (Figures 8, 9, 10
-  and the area/overhead/runtime claims).
+  on, and the runtime measurement behind the paper's scalability claim.
+
+The figure-level sweeps (Figures 8, 9, 10 and the area/overhead claims) are
+report types of the experiment API: :func:`repro.api.reports.run_report`.
 """
 
-from repro.analysis.experiments import MethodComparison, compare_methods, sweep_switch_counts
-from repro.analysis.metrics import geometric_mean, percent_change, percent_reduction
-from repro.analysis.sweeps import (
-    FIGURE10_BENCHMARKS,
-    FIGURE8_SWITCH_COUNTS,
-    FIGURE9_SWITCH_COUNTS,
-    area_savings_table,
-    figure10_power_series,
-    figure8_series,
-    figure9_series,
-    overhead_vs_unprotected,
+from repro.analysis.experiments import (
+    MethodComparison,
+    compare_methods,
     runtime_scaling,
+    sweep_switch_counts,
 )
+from repro.analysis.metrics import geometric_mean, percent_change, percent_reduction
 
 __all__ = [
     "MethodComparison",
@@ -29,13 +24,5 @@ __all__ = [
     "percent_change",
     "percent_reduction",
     "geometric_mean",
-    "figure8_series",
-    "figure9_series",
-    "figure10_power_series",
-    "area_savings_table",
-    "overhead_vs_unprotected",
     "runtime_scaling",
-    "FIGURE8_SWITCH_COUNTS",
-    "FIGURE9_SWITCH_COUNTS",
-    "FIGURE10_BENCHMARKS",
 ]

@@ -9,17 +9,20 @@ experiments compare three variants of the same synthesized topology:
 
 :func:`compare_methods` produces all three plus their VC counts, power and
 area; :func:`sweep_switch_counts` repeats it over a range of switch counts,
-which is exactly what Figures 8 and 9 plot.
+which is exactly what Figures 8 and 9 plot.  :func:`runtime_scaling` times
+fresh synthesis and removal for the paper's runtime claim.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.analysis.metrics import percent_reduction
 from repro.api.registry import synthesis_backends
+from repro.api.reports import FIGURE10_BENCHMARKS, FIGURE10_SWITCH_COUNT
 from repro.benchmarks.registry import get_benchmark
 from repro.core.removal import DEFAULT_REMOVAL_ENGINE, remove_deadlocks
 from repro.core.report import RemovalResult
@@ -37,7 +40,7 @@ from repro.routing.ordering import (
     OrderingResult,
     apply_resource_ordering,
 )
-from repro.synthesis.builder import SynthesisConfig
+from repro.synthesis.builder import SynthesisConfig, synthesize_design
 
 
 @dataclass
@@ -259,3 +262,37 @@ def sweep_switch_counts(
         resolve_benchmark_traffic(benchmark, seed)
     points = [(benchmark, count, seed, synthesis_overrides) for count in switch_counts]
     return parallel_map(_compare_point, points, jobs=jobs)
+
+
+def runtime_scaling(
+    *,
+    benchmarks: Optional[Sequence[str]] = None,
+    switch_count: int = FIGURE10_SWITCH_COUNT,
+    seed: int = 0,
+) -> Dict[str, List]:
+    """The §5 runtime claim: the method runs in seconds/minutes and scales.
+
+    Kept on the direct path (not the cached runner): the whole point is to
+    measure fresh synthesis and removal wall-clock, which a cache hit would
+    falsify.
+    """
+    names = list(benchmarks or FIGURE10_BENCHMARKS)
+    synthesis_seconds: List[float] = []
+    removal_seconds: List[float] = []
+    added_vcs: List[int] = []
+    for name in names:
+        traffic = get_benchmark(name, seed=seed)
+        start = time.perf_counter()
+        design = synthesize_design(traffic, SynthesisConfig(n_switches=switch_count, seed=seed))
+        synthesis_seconds.append(time.perf_counter() - start)
+        result = remove_deadlocks(design)
+        removal_seconds.append(result.runtime_seconds)
+        added_vcs.append(result.added_vc_count)
+    return {
+        "benchmarks": names,
+        "switch_count": switch_count,
+        "synthesis_seconds": synthesis_seconds,
+        "removal_seconds": removal_seconds,
+        "added_vcs": added_vcs,
+        "total_removal_seconds": sum(removal_seconds),
+    }

@@ -18,7 +18,7 @@ fields, CLI flags and the library keyword arguments.
 Each registry names a *provider* module — the module that registers the
 built-in implementations.  The provider is imported lazily on first lookup,
 so ``from repro.api.registry import removal_engines`` never drags in the
-whole algorithm stack, while ``removal_engines.get("incremental")`` always
+whole algorithm stack, while ``removal_engines.get("rebuild")`` always
 finds the built-ins no matter which module was imported first.
 """
 
@@ -118,8 +118,7 @@ class Registry:
 
 
 #: Removal-engine loop implementations (built-ins live in
-#: :mod:`repro.core.removal`: ``"context"``, ``"incremental"`` and
-#: ``"rebuild"``).
+#: :mod:`repro.core.removal`: ``"context"`` and ``"rebuild"``).
 removal_engines = Registry("removal engine", provider="repro.core.removal")
 
 #: Resource-class assignment strategies for the ordering baseline

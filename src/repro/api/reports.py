@@ -3,8 +3,8 @@
 Each report type knows two things: which :class:`~repro.api.spec.RunSpec`
 points it needs (:meth:`ReportType.specs`) and how to fold the resulting
 records into the exact dictionary the paper's figure helpers historically
-returned (:meth:`ReportType.render`).  The legacy functions in
-:mod:`repro.analysis.sweeps` are thin adapters over :func:`run_report`, so
+returned (:meth:`ReportType.render`).  :func:`run_report` executes one
+report end-to-end and ``noc-deadlock figures`` is an adapter over it, so
 ``noc-deadlock figures`` and ``noc-deadlock run <plan.json>`` are
 byte-identical by construction.
 

@@ -321,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cross-check",
         action="store_true",
-        help="verify the incremental CDG against a full rebuild every "
-        "iteration (slow; debugging aid)",
+        help="verify the CDG index against a full rebuild and every cost "
+        "table against the reference builder every iteration (slow; "
+        "debugging aid)",
     )
     p.add_argument("-o", "--output", help="where to write the modified design")
     p.set_defaults(func=_cmd_remove)

@@ -19,20 +19,16 @@ Interchangeable engines drive the loop, looked up by name in the pluggable
 with a decorator and become valid ``engine=`` values everywhere, including
 :class:`~repro.api.spec.RunSpec` and the CLI).  Built-ins:
 
-* ``engine="context"`` (default) — everything the incremental engine does,
-  plus the shared per-design state of
-  :class:`~repro.perf.design_context.DesignContext`: cost tables for both
-  break directions come from one pass over interned channel-id arrays
-  (:mod:`repro.perf.cost_index`), the affected flows of a break are read
-  from the indexed per-edge flow sets instead of scanning every route, and
-  the smallest-cycle BFS is depth-limited to where a strictly shorter
-  cycle can still exist.  Identical
-  :class:`~repro.core.report.BreakAction` sequences to both other engines.
-* ``engine="incremental"`` — the PR 1 performance core: the CDG is
-  maintained incrementally from the route deltas each break reports, and
-  the smallest-cycle search is SCC-pruned and cached per component,
-  re-searching only the dirty region.  Kept byte-for-byte as the PR 3
-  baseline the scaling benchmark measures against.
+* ``engine="context"`` (default) — the CDG is maintained from the route
+  deltas each break reports, on the shared per-design state of
+  :class:`~repro.perf.design_context.DesignContext`.  The smallest-cycle
+  search is SCC-pruned and cached per component, re-searching only the
+  dirty region, and each BFS is depth-limited to where a strictly shorter
+  cycle can still exist.  Cost tables for both break directions come from
+  one pass over interned channel-id arrays (:mod:`repro.perf.cost_index`),
+  and the affected flows of a break are read from the indexed per-edge
+  flow sets instead of scanning every route.  Identical
+  :class:`~repro.core.report.BreakAction` sequences to the rebuild engine.
 * ``engine="rebuild"`` — the seed behaviour: ``build_cdg(work)`` from
   scratch and a full BFS sweep per iteration.  Kept as the reference for
   cross-checks, ablation selections (largest / random) and benchmarking.
@@ -58,7 +54,6 @@ from repro.core.report import RemovalResult
 from repro.errors import ConvergenceError, RemovalError
 from repro.model.design import NocDesign
 from repro.model.validation import validate_design
-from repro.perf.cdg_index import CDGIndex
 from repro.perf.cycle_search import IncrementalCycleSearch, count_cycles_indexed
 from repro.perf.design_context import DesignContext
 
@@ -73,7 +68,6 @@ POLICY_BACKWARD = "backward"
 _POLICIES = (POLICY_BEST, POLICY_FORWARD, POLICY_BACKWARD)
 
 ENGINE_CONTEXT = "context"
-ENGINE_INCREMENTAL = "incremental"
 ENGINE_REBUILD = "rebuild"
 #: Engine used when callers do not choose one explicitly.
 DEFAULT_REMOVAL_ENGINE = ENGINE_CONTEXT
@@ -108,24 +102,23 @@ class DeadlockRemover:
     validate:
         Validate the design before and after removal (recommended).
     engine:
-        ``"context"`` (default) adds the shared
-        :class:`~repro.perf.design_context.DesignContext` state on top of
-        the incremental loop: one-pass int-indexed cost tables, indexed
-        affected-flow lookup and a depth-limited cycle BFS;
-        ``"incremental"`` maintains the CDG from route deltas and runs the
-        SCC-pruned indexed cycle search; ``"rebuild"`` is the seed
-        behaviour (full ``build_cdg`` + full BFS sweep per iteration).  All
-        three produce identical break sequences; the accelerated engines
-        only speed up the paper's ``"smallest"`` selection and
-        transparently fall back to rebuilding for the ablation selections.
+        ``"context"`` (default) maintains the CDG from route deltas on the
+        shared :class:`~repro.perf.design_context.DesignContext` state and
+        runs the SCC-pruned, depth-limited indexed cycle search with
+        one-pass int-indexed cost tables and indexed affected-flow lookup;
+        ``"rebuild"`` is the seed behaviour (full ``build_cdg`` + full BFS
+        sweep per iteration).  Both produce identical break sequences; the
+        context engine only speeds up the paper's ``"smallest"`` selection
+        and transparently falls back to rebuilding for the ablation
+        selections.
     cross_check:
-        Debug flag: after every incremental update, rebuild the CDG from
-        scratch and assert the index matches it exactly (slow — for tests
-        and debugging only).  The context engine additionally re-derives
-        every cost table (and break choice) with the reference builder,
-        raising on any mismatch; the CDG verification covers the per-edge
-        flow sets its affected-flow lookup is served from.  Ignored by the
-        rebuild engine.
+        Debug flag: after every route-delta update of the CDG index,
+        rebuild the CDG from scratch and assert the index matches it
+        exactly (slow — for tests and debugging only), and re-derive every
+        cost table (and break choice) with the reference builder, raising
+        on any mismatch; the CDG verification covers the per-edge flow sets
+        the affected-flow lookup is served from.  Ignored by the rebuild
+        engine.
     """
 
     def __init__(
@@ -252,63 +245,17 @@ class DeadlockRemover:
             raise RemovalError("internal error: CDG still cyclic after removal loop")
         return result
 
-    def _remove_incremental(self, work: NocDesign) -> RemovalResult:
-        """The performance-core loop: route-delta CDG updates + indexed search.
-
-        Produces the exact same :class:`~repro.core.report.BreakAction`
-        sequence as :meth:`_remove_rebuild` with ``cycle_selection="smallest"``
-        (enforced by ``cross_check=True`` and the equivalence test suite).
-        """
-        index = CDGIndex.from_routes(work.routes)
-        initially_free = index.is_acyclic()
-        initial_cycles = 0
-        if self.count_initial_cycles and not initially_free:
-            initial_cycles = count_cycles_indexed(index, limit=2000)
-
-        max_iterations = self.max_iterations
-        if max_iterations is None:
-            max_iterations = 100 + 10 * max(index.edge_count, 1)
-
-        result = RemovalResult(
-            design=work,
-            initially_deadlock_free=initially_free,
-            initial_cycle_count=initial_cycles,
-        )
-
-        search = IncrementalCycleSearch(index)
-        iteration = 0
-        while True:
-            cycle = search.find_smallest()
-            if cycle is None:
-                break
-            iteration += 1
-            if iteration > max_iterations:
-                remaining = count_cycles_indexed(index, limit=100)
-                raise ConvergenceError(iteration - 1, remaining)
-            action = self._apply_break(work, cycle, iteration, result)
-            # Apply the break's route delta instead of rebuilding: remove the
-            # dependencies of every rerouted flow's old route, add the new ones.
-            for flow_name, old_route in (action.previous_routes or {}).items():
-                index.apply_route_change(
-                    flow_name, old_route.channels, work.routes.route(flow_name).channels
-                )
-            if self.cross_check:
-                index.verify_against(build_cdg(work))
-
-        result.iterations = iteration
-        if not index.is_acyclic():  # pragma: no cover - defensive
-            raise RemovalError("internal error: CDG still cyclic after removal loop")
-        return result
-
     def _remove_context(self, work: NocDesign) -> RemovalResult:
         """The design-context loop: shared state + one-pass cost tables.
 
-        Same break sequence as the other engines (enforced by
-        ``cross_check=True``, the hypothesis suites and the per-benchmark
-        action-equality tests); on top of :meth:`_remove_incremental` the
-        cost tables of both directions come from one pass over interned
-        channel-id arrays, the affected flows of each break are read from
-        the indexed per-edge flow sets, and the cycle BFS is depth-limited.
+        Same break sequence as :meth:`_remove_rebuild` with
+        ``cycle_selection="smallest"`` (enforced by ``cross_check=True``,
+        the hypothesis suites and the per-benchmark action-equality tests):
+        the CDG index follows each break's route delta instead of being
+        rebuilt, the cost tables of both directions come from one pass over
+        interned channel-id arrays, the affected flows of each break are
+        read from the indexed per-edge flow sets, and the cycle search is
+        SCC-pruned, cached per component and depth-limited.
         """
         context = DesignContext.of(work)
         index = context.cdg_index()
@@ -333,7 +280,7 @@ class DeadlockRemover:
             POLICY_FORWARD: FORWARD,
             POLICY_BACKWARD: BACKWARD,
         }[self.direction_policy]
-        search = IncrementalCycleSearch(index, depth_limited=True)
+        search = IncrementalCycleSearch(index)
         iteration = 0
         while True:
             cycle = search.find_smallest()
@@ -418,20 +365,6 @@ def _context_engine(
     if remover.cycle_selection != SELECT_SMALLEST:
         return remover._remove_rebuild(work, rng)
     return remover._remove_context(work)
-
-
-@removal_engines.register(ENGINE_INCREMENTAL)
-def _incremental_engine(
-    remover: DeadlockRemover, work: NocDesign, rng: random.Random
-) -> RemovalResult:
-    """Default engine: route-delta CDG maintenance + indexed cycle search.
-
-    Only accelerates the paper's ``"smallest"`` selection; the ablation
-    selections transparently fall back to the rebuild loop.
-    """
-    if remover.cycle_selection != SELECT_SMALLEST:
-        return remover._remove_rebuild(work, rng)
-    return remover._remove_incremental(work)
 
 
 @removal_engines.register(ENGINE_REBUILD)

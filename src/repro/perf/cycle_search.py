@@ -108,24 +108,20 @@ class IncrementalCycleSearch:
     Results are identical to
     :func:`repro.core.cycles.find_smallest_cycle` on a freshly rebuilt CDG.
 
-    ``depth_limited=True`` additionally bounds every BFS after the first
-    hit of a component to the depth at which a *strictly shorter* cycle
-    could still exist.  The seed tie-break keeps the first start vertex (in
-    channel sort order) achieving the minimal length, so a later start only
-    matters if it yields a strictly shorter cycle — a cycle of length
-    ``L`` through a start is discovered at BFS depth ``L - 1``, hence
-    exploring beyond depth ``best - 2`` cannot change the winner.  The
-    limited search returns the exact same entry (cycles at or above the
-    limit would have been discarded by the strict comparison anyway); the
-    flag exists so the ``"incremental"`` engine stays byte-for-byte the
-    PR 3 baseline the scaling benchmark compares against.
+    Every BFS after the first hit of a component is bounded to the depth at
+    which a *strictly shorter* cycle could still exist.  The seed tie-break
+    keeps the first start vertex (in channel sort order) achieving the
+    minimal length, so a later start only matters if it yields a strictly
+    shorter cycle — a cycle of length ``L`` through a start is discovered
+    at BFS depth ``L - 1``, hence exploring beyond depth ``best - 2``
+    cannot change the winner (cycles at or above the limit would have been
+    discarded by the strict comparison anyway).
     """
 
-    def __init__(self, index: CDGIndex, *, depth_limited: bool = False):
+    def __init__(self, index: CDGIndex):
         self._index = index
-        self._depth_limited = depth_limited
         self._cache: Dict[FrozenSet[int], SccCycleEntry] = {}
-        # Epoch-stamped scratch arrays for the depth-limited search: indexed
+        # Epoch-stamped scratch arrays for the component search: indexed
         # by dense channel id, validity decided by comparing stamps, so a
         # fresh BFS costs one counter bump instead of fresh dicts.
         self._member_stamp: List[int] = []
@@ -167,15 +163,16 @@ class IncrementalCycleSearch:
             self._parent.extend([-1] * missing)
             self._depth.extend([0] * missing)
 
-    def _search_component_limited(self, component: List[int]) -> SccCycleEntry:
-        """Depth-limited, array-stamped variant of :meth:`_search_component`.
+    def _search_component(self, component: List[int]) -> SccCycleEntry:
+        """BFS from every component vertex (sorted order), inside the SCC.
 
-        Same BFS order, same parent pointers, same returned entry — the
-        dictionaries of the reference variant are replaced by epoch-stamped
-        flat arrays over dense channel ids, and each BFS after the first
-        found cycle is bounded to the depth where a strictly shorter cycle
-        can still close (see the class docstring for why that preserves the
-        winner exactly).
+        Successors are visited in presorted channel order but restricted to
+        the start's SCC, which provably preserves BFS distances and parent
+        pointers (see the module docstring).  Visited sets and parent
+        pointers live in epoch-stamped flat arrays over dense channel ids,
+        and each BFS after the first found cycle is bounded to the depth
+        where a strictly shorter cycle can still close (see the class
+        docstring for why that preserves the winner exactly).
         """
         index = self._index
         self._ensure_capacity(index.interned_count)
@@ -237,60 +234,6 @@ class IncrementalCycleSearch:
             start_key=index.key_of(best_start),
             cycle=best_cycle,
         )
-
-    def _search_component(self, component: List[int]) -> SccCycleEntry:
-        """BFS from every component vertex (sorted order), inside the SCC."""
-        if self._depth_limited:
-            return self._search_component_limited(component)
-        index = self._index
-        members = frozenset(component)
-        starts = sorted(component, key=index.key_of)
-        best_cycle: Optional[Tuple[int, ...]] = None
-        best_start: Optional[int] = None
-        for start in starts:
-            cycle = self._shortest_cycle_through(start, members)
-            if cycle is None:
-                continue
-            if best_cycle is None or len(cycle) < len(best_cycle):
-                best_cycle = cycle
-                best_start = start
-                if len(best_cycle) == 2:
-                    break
-        if best_cycle is None:  # pragma: no cover - SCCs of size >= 2 have cycles
-            raise AssertionError("non-trivial SCC without a cycle")
-        return SccCycleEntry(
-            length=len(best_cycle),
-            start_key=index.key_of(best_start),
-            cycle=best_cycle,
-        )
-
-    def _shortest_cycle_through(
-        self, start: int, members: FrozenSet[int]
-    ) -> Optional[Tuple[int, ...]]:
-        """Int-indexed mirror of ``cycles._shortest_cycle_through``.
-
-        Successors are visited in presorted channel order but restricted to
-        the start's SCC, which provably preserves BFS distances and parent
-        pointers (see the module docstring).
-        """
-        index = self._index
-        parent: Dict[int, Optional[int]] = {start: None}
-        queue = deque((start,))
-        while queue:
-            node = queue.popleft()
-            for succ in index.sorted_successors(node):
-                if succ == start:
-                    cycle = [node]
-                    current = node
-                    while parent[current] is not None:
-                        current = parent[current]
-                        cycle.append(current)
-                    cycle.reverse()
-                    return tuple(cycle)
-                if succ in members and succ not in parent:
-                    parent[succ] = node
-                    queue.append(succ)
-        return None
 
 
 def count_cycles_indexed(index: CDGIndex, limit: Optional[int] = 10000) -> int:

@@ -1,6 +1,6 @@
 """Parallel point executor for the figure sweeps.
 
-Every point of ``sweep_switch_counts`` / ``figure8/9/10_series`` is an
+Every point of ``sweep_switch_counts`` and of a report plan is an
 independent synthesize → remove → order → estimate pipeline, so the sweeps
 parallelise embarrassingly well across processes.  :func:`parallel_map` is a
 drop-in ordered ``map`` that fans work out over a

@@ -5,9 +5,7 @@ The construction logic lives in the :data:`repro.api.registry
 keeps the historical helper signatures as thin adapters.  The topology
 helpers (``ring_topology``/``mesh_topology``/``torus_topology``) delegate
 silently; the full design constructors (``ring_design``/``mesh_design``)
-are deprecation shims over :func:`repro.synthesis.families.family_design`,
-kept the same way :mod:`repro.analysis.sweeps` keeps the legacy figure
-helpers.
+are deprecation shims over :func:`repro.synthesis.families.family_design`.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ unprotected design.
 
 import pytest
 
-from repro.analysis.experiments import compare_methods, sweep_switch_counts
+from repro.analysis.experiments import compare_methods, runtime_scaling, sweep_switch_counts
 from repro.core.cdg import build_cdg
 
 
@@ -73,3 +73,10 @@ class TestSweep:
             row.ordering_extra_vcs >= row.removal_extra_vcs for row in rows
         )
         assert any(row.ordering_extra_vcs > 5 for row in rows)
+
+
+class TestRuntimeScaling:
+    def test_runtime_scaling_reduced(self):
+        data = runtime_scaling(benchmarks=["D26_media"], switch_count=10)
+        assert data["removal_seconds"][0] < 60
+        assert data["total_removal_seconds"] < 60

@@ -1,22 +1,15 @@
-"""Tests for the figure-level sweeps (repro.analysis.sweeps).
+"""Tests for the figure-level sweeps (the paper's report types).
 
 The full-size sweeps run in the benchmark harness; here they are exercised
 on reduced grids to keep the unit-test suite fast while still checking the
 shape of every figure.
 """
 
-import pytest
-
-from repro.analysis.sweeps import (
+from repro.api.reports import (
     FIGURE10_BENCHMARKS,
     FIGURE8_SWITCH_COUNTS,
     FIGURE9_SWITCH_COUNTS,
-    area_savings_table,
-    figure10_power_series,
-    figure8_series,
-    figure9_series,
-    overhead_vs_unprotected,
-    runtime_scaling,
+    run_report,
 )
 
 
@@ -35,7 +28,7 @@ class TestDefaults:
 
 class TestFigure8:
     def test_reduced_figure8_shape(self):
-        data = figure8_series(switch_counts=[8, 14])
+        data = run_report("figure8", {"seed": 0, "switch_counts": [8, 14]})
         assert data["benchmark"] == "D26_media"
         assert len(data["resource_ordering_vcs"]) == 2
         for ordering, removal in zip(
@@ -46,7 +39,7 @@ class TestFigure8:
 
 class TestFigure9:
     def test_reduced_figure9_shape(self):
-        data = figure9_series(switch_counts=[14, 22])
+        data = run_report("figure9", {"seed": 0, "switch_counts": [14, 22]})
         assert data["benchmark"] == "D36_8"
         for ordering, removal in zip(
             data["resource_ordering_vcs"], data["deadlock_removal_vcs"]
@@ -58,7 +51,10 @@ class TestFigure9:
 
 class TestFigure10:
     def test_reduced_figure10_shape(self):
-        data = figure10_power_series(benchmarks=["D26_media", "D36_8"], switch_count=10)
+        data = run_report(
+            "figure10",
+            {"seed": 0, "switch_count": 10, "benchmarks": ["D26_media", "D36_8"]},
+        )
         assert data["deadlock_removal_normalised_power"] == [1.0, 1.0]
         assert all(v >= 1.0 for v in data["resource_ordering_normalised_power"])
         assert data["average_power_saving_percent"] >= 0
@@ -66,17 +62,16 @@ class TestFigure10:
 
 class TestClaims:
     def test_area_savings_table_reduced(self):
-        data = area_savings_table(benchmarks=["D36_8"], switch_count=14)
+        data = run_report(
+            "area", {"seed": 0, "switch_count": 14, "benchmarks": ["D36_8"]}
+        )
         assert data["ordering_extra_vcs"][0] > data["removal_extra_vcs"][0]
         assert data["average_vc_reduction_percent"] > 50
         assert data["average_area_saving_percent"] > 0
 
     def test_overhead_vs_unprotected_reduced(self):
-        data = overhead_vs_unprotected(benchmarks=["D36_8"], switch_count=14)
+        data = run_report(
+            "overhead", {"seed": 0, "switch_count": 14, "benchmarks": ["D36_8"]}
+        )
         assert data["average_power_overhead_percent"] < 10
         assert data["average_area_overhead_percent"] < 10
-
-    def test_runtime_scaling_reduced(self):
-        data = runtime_scaling(benchmarks=["D26_media"], switch_count=10)
-        assert data["removal_seconds"][0] < 60
-        assert data["total_removal_seconds"] < 60

@@ -122,19 +122,25 @@ class TestRemoveEngineFlags:
         assert "virtual channels added" in capsys.readouterr().out
 
     def test_remove_with_cross_check(self, ring_file, capsys):
-        assert main(["remove", str(ring_file), "--engine", "incremental", "--cross-check"]) == 0
+        assert main(["remove", str(ring_file), "--engine", "context", "--cross-check"]) == 0
         assert "virtual channels added" in capsys.readouterr().out
 
+    def test_unregistered_engine_exits_2(self, ring_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["remove", str(ring_file), "--engine", "incremental"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'incremental'" in capsys.readouterr().err
+
     def test_engines_produce_identical_summaries(self, ring_file, capsys):
-        assert main(["remove", str(ring_file), "--engine", "incremental"]) == 0
-        incremental = capsys.readouterr().out
+        assert main(["remove", str(ring_file), "--engine", "context"]) == 0
+        context = capsys.readouterr().out
         assert main(["remove", str(ring_file), "--engine", "rebuild"]) == 0
         rebuild = capsys.readouterr().out
 
         def stable(text):
             return [line for line in text.splitlines() if "runtime" not in line]
 
-        assert stable(incremental) == stable(rebuild)
+        assert stable(context) == stable(rebuild)
 
     def test_corrupt_design_json_is_a_clean_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

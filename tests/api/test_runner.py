@@ -9,6 +9,7 @@ from repro.api.reports import run_report
 from repro.api.result import RunResult
 from repro.api.runner import DESIGN_KIND, RESULT_KIND, Runner, run_plan
 from repro.api.spec import ExperimentPlan, ReportRequest, RunSpec
+from repro.errors import RemovalError
 
 
 @pytest.fixture
@@ -51,6 +52,11 @@ class TestRunSpecExecution:
         assert result.ordering_area_mm2 == comparison.ordering_area.total_area_mm2
         assert result.vc_reduction_percent == comparison.vc_reduction_percent
         assert result.normalised_ordering_power == comparison.normalised_ordering_power
+
+    def test_unregistered_removal_engine_is_rejected(self):
+        spec = RunSpec(benchmark="D26_media", switch_count=5, engine="incremental")
+        with pytest.raises(RemovalError, match="available: context, rebuild"):
+            Runner().run_spec(spec)
 
 
 class TestArtifactCacheFlow:

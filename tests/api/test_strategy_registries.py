@@ -69,7 +69,7 @@ class TestRegistry:
 
 class TestBuiltinRegistries:
     def test_removal_engines(self):
-        assert removal_engines.names() == ["context", "incremental", "rebuild"]
+        assert removal_engines.names() == ["context", "rebuild"]
 
     def test_ordering_strategies(self):
         assert ordering_strategies.names() == ["hop_index", "layered"]

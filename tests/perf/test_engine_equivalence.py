@@ -1,6 +1,6 @@
-"""The incremental engine reproduces the seed engine on every benchmark.
+"""The context engine reproduces the seed engine on every benchmark.
 
-For all six registry benchmarks the incremental engine must produce the
+For all six registry benchmarks the context engine must produce the
 exact :class:`~repro.core.report.BreakAction` sequence of the seed
 (rebuild) engine — same cycles, same broken edges, same costs, same
 rerouted flows, same added channels — plus the same headline numbers.
@@ -31,14 +31,13 @@ def _synthesize(name: str, seed: int = 0):
 def test_identical_break_actions_on_benchmark(name):
     design = _synthesize(name)
     seed_result = remove_deadlocks(design, engine="rebuild")
-    for engine in ("incremental", "context"):
-        fast_result = remove_deadlocks(design, engine=engine, cross_check=True)
-        assert fast_result.actions == seed_result.actions
-        assert fast_result.iterations == seed_result.iterations
-        assert fast_result.added_vc_count == seed_result.added_vc_count
-        assert fast_result.initial_cycle_count == seed_result.initial_cycle_count
-        assert fast_result.initially_deadlock_free == seed_result.initially_deadlock_free
-        assert fast_result.design.routes == seed_result.design.routes
+    fast_result = remove_deadlocks(design, engine="context", cross_check=True)
+    assert fast_result.actions == seed_result.actions
+    assert fast_result.iterations == seed_result.iterations
+    assert fast_result.added_vc_count == seed_result.added_vc_count
+    assert fast_result.initial_cycle_count == seed_result.initial_cycle_count
+    assert fast_result.initially_deadlock_free == seed_result.initially_deadlock_free
+    assert fast_result.design.routes == seed_result.design.routes
 
 
 def test_default_engine_is_context():
@@ -48,16 +47,17 @@ def test_default_engine_is_context():
 
 
 def test_unknown_engine_rejected():
-    with pytest.raises(RemovalError):
-        DeadlockRemover(engine="warp")
+    for name in ("warp", "incremental"):
+        with pytest.raises(RemovalError, match="available: context, rebuild"):
+            DeadlockRemover(engine=name)
 
 
-def test_ablation_selections_still_work_with_incremental_engine():
+def test_ablation_selections_still_work_with_context_engine():
     """largest/random selections transparently use the rebuild loop."""
     design = _synthesize("D36_8")
-    result = remove_deadlocks(design, cycle_selection="largest", engine="incremental")
+    result = remove_deadlocks(design, cycle_selection="largest", engine="context")
     assert result.is_deadlock_free
-    result = remove_deadlocks(design, cycle_selection="random", engine="incremental")
+    result = remove_deadlocks(design, cycle_selection="random", engine="context")
     assert result.is_deadlock_free
 
 
